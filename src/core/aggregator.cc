@@ -656,6 +656,10 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
     outputs[p] = ag::L2Normalize(ag::AsVector(mm));
   }
 
+  // Forward-only (NoTapeScope): nothing will run backward, so there is
+  // nothing to replay.
+  if (NoTapeScope::active()) return outputs;
+
   // ---- Replay sentinel: a parentless hooked node, pre-seeded so the
   // engine runs it, tethered under every deferred-gather leaf so it is the
   // earliest post-order node of the region — i.e. the LAST closure to

@@ -66,7 +66,9 @@ class EhnaAggregator {
   /// once per call, in canonical reverse-plan order. Consequently losses
   /// and gradients are bitwise identical whether a caller packs one edge
   /// per call or a whole batch/shard per call. Returns one rank-1 [dim] Var
-  /// per plan, in plan order. See DESIGN.md §10.
+  /// per plan, in plan order. See DESIGN.md §10. Under a NoTapeScope (the
+  /// inference path, DESIGN.md §13) the values are the same and no replay
+  /// sentinel is built.
   std::vector<Var> AggregateBatch(const std::vector<AggregationPlan>& plans,
                                   bool training);
 

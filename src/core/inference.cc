@@ -1,9 +1,33 @@
 #include "core/inference.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <thread>
+#include <vector>
+
+#include "nn/kernels.h"
+#include "util/metrics.h"
 
 namespace ehna {
+
+namespace {
+
+/// Bound on one AggregateBatch chunk, in node-level pack rows (walks times
+/// padded length, summed over the chunk's plans). A chunk's tensors live
+/// until its forward finishes, so this caps the per-thread working set:
+/// DESIGN.md §13 records the RSS measurement behind the value.
+constexpr size_t kMaxPackedWalkRows = 256;
+
+/// Node-level pack rows `plan` adds to a chunk (EHNA-SL's flattened
+/// sequence is never longer); a fallback plan counts one.
+size_t PackedWalkRows(const AggregationPlan& plan) {
+  size_t longest = 0;
+  for (const Walk& w : plan.walks) longest = std::max(longest, w.size());
+  return std::max<size_t>(1, plan.walks.size() * longest);
+}
+
+}  // namespace
 
 InferenceEngine::InferenceEngine(const TemporalGraph* graph,
                                  Embedding* embedding,
@@ -39,13 +63,6 @@ ThreadPool* InferenceEngine::EnsurePool() {
   return owned_pool_.get();
 }
 
-Tensor InferenceEngine::AggregateAt(NodeId node, Timestamp ref_time,
-                                    Rng* rng) {
-  Var z = aggregator_->Aggregate(node, ref_time, /*training=*/false, rng);
-  embedding_->ClearGradients();
-  return z.value();
-}
-
 void InferenceEngine::FinalizeIsolated(NodeId v, float* dst) const {
   const int64_t d = config_.dim;
   const float* src = embedding_->RowData(v);
@@ -58,47 +75,59 @@ void InferenceEngine::FinalizeIsolated(NodeId v, float* dst) const {
   for (int64_t j = 0; j < d; ++j) dst[j] = src[j] * inv;
 }
 
-void InferenceEngine::FinalizeNodeStreamed(NodeId v, float* dst) {
-  const int64_t d = config_.dim;
-  auto recent = graph_->MostRecentInteraction(v);
-  if (recent.ok()) {
-    Rng node_rng = Rng::Stream(config_.seed ^ kFinalizeStreamSalt, v);
-    Var z = aggregator_->Aggregate(v, recent.value(), /*training=*/false,
-                                   &node_rng);
-    const Tensor& zv = z.value();
-    for (int64_t j = 0; j < d; ++j) dst[j] = zv[j];
-  } else {
-    FinalizeIsolated(v, dst);
+void InferenceEngine::AggregateRange(std::span<const NodeId> nodes,
+                                     size_t begin, size_t end,
+                                     Rng* serial_rng, Tensor* out) {
+  // The aggregations are a pure forward read: no tape, so intermediates die
+  // with each chunk and nothing accumulates into the table's gradients.
+  NoTapeScope no_tape;
+  std::vector<AggregationPlan> plans;
+  std::vector<float*> dsts;
+  size_t i = begin;
+  while (i < end) {
+    size_t rows = 0;
+    plans.clear();
+    dsts.clear();
+    {
+      EHNA_TRACE_PHASE("infer.phase.plan");
+      for (; i < end && rows < kMaxPackedWalkRows; ++i) {
+        const NodeId v = nodes[i];
+        float* dst = out->Row(v);
+        auto recent = graph_->MostRecentInteraction(v);
+        if (!recent.ok()) {
+          FinalizeIsolated(v, dst);
+          continue;
+        }
+        Rng node_rng = Rng::Stream(config_.seed ^ kFinalizeStreamSalt, v);
+        AggregationPlan& plan = plans.emplace_back();
+        aggregator_->PlanAggregation(
+            v, recent.value(), serial_rng != nullptr ? serial_rng : &node_rng,
+            &plan);
+        dsts.push_back(dst);
+        rows += PackedWalkRows(plan);
+      }
+    }
+    if (plans.empty()) continue;
+    EHNA_TRACE_PHASE("infer.phase.packed_forward");
+    const std::vector<Var> z =
+        aggregator_->AggregateBatch(plans, /*training=*/false);
+    for (size_t p = 0; p < z.size(); ++p) {
+      kernels::Copy(z[p].value().data(), dsts[p], config_.dim);
+    }
   }
 }
 
 Tensor InferenceEngine::ComputeFinalEmbeddings(Rng* serial_rng,
                                                ThreadPool* pool) {
   const NodeId n = graph_->num_nodes();
-  const int64_t d = config_.dim;
-  Tensor final(n, d);
-
+  Tensor final(n, config_.dim);
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
   if (num_threads() > 1) {
-    // Nodes fan out freely (pure read of the trained state); the per-node
-    // stream makes the result a function of the seed alone, independent of
-    // thread count and scheduling.
-    if (pool == nullptr) pool = EnsurePool();
-    pool->ParallelFor(n, [&](size_t v) {
-      FinalizeNodeStreamed(static_cast<NodeId>(v), final.Row(v));
-    });
-    embedding_->ClearGradients();
+    RefreshInto(all, &final, pool);
   } else {
     EHNA_CHECK(serial_rng != nullptr);
-    for (NodeId v = 0; v < n; ++v) {
-      auto recent = graph_->MostRecentInteraction(v);
-      if (recent.ok()) {
-        const Tensor z = AggregateAt(v, recent.value(), serial_rng);
-        float* dst = final.Row(v);
-        for (int64_t j = 0; j < d; ++j) dst[j] = z[j];
-      } else {
-        FinalizeIsolated(v, final.Row(v));
-      }
-    }
+    AggregateRange(all, 0, n, serial_rng, &final);
   }
   return final;
 }
@@ -118,17 +147,17 @@ void InferenceEngine::RefreshInto(std::span<const NodeId> nodes, Tensor* out,
   EHNA_CHECK(out != nullptr);
   EHNA_CHECK_GE(out->rows(), static_cast<int64_t>(graph_->num_nodes()));
   EHNA_CHECK_EQ(out->cols(), config_.dim);
-  if (nodes.empty()) return;
   if (pool == nullptr && num_threads() > 1) pool = EnsurePool();
-  if (pool != nullptr && pool->num_threads() > 1 && nodes.size() > 1) {
-    pool->ParallelFor(nodes.size(), [&](size_t i) {
-      const NodeId v = nodes[i];
-      FinalizeNodeStreamed(v, out->Row(v));
-    });
-  } else {
-    for (const NodeId v : nodes) FinalizeNodeStreamed(v, out->Row(v));
+  if (pool == nullptr || pool->num_threads() < 2 || nodes.size() < 2) {
+    AggregateRange(nodes, 0, nodes.size(), nullptr, out);
+    return;
   }
-  embedding_->ClearGradients();
+  // Per-node streams make every row a function of the seed alone, so the
+  // shard layout (like the chunking inside each shard) moves no byte.
+  pool->ParallelForShards(nodes.size(), pool->num_threads() * 4,
+                          [&](size_t, size_t begin, size_t end) {
+                            AggregateRange(nodes, begin, end, nullptr, out);
+                          });
 }
 
 }  // namespace ehna

@@ -53,18 +53,14 @@ class InferenceEngine {
   const TemporalGraph* graph() const { return graph_; }
   const EhnaConfig& config() const { return config_; }
 
-  /// Aggregated embedding of one node at a reference time (inference mode),
-  /// drawing walk randomness from `rng`. Clears the gradient rows the
-  /// forward pass's gathers registered.
-  Tensor AggregateAt(NodeId node, Timestamp ref_time, Rng* rng);
-
   /// The §IV.D final pass *without* the write-back: returns the [N, dim]
   /// matrix of per-node aggregated embeddings (isolated nodes contribute
   /// their L2-normalized raw rows), leaving the trained table untouched.
   /// With num_threads() == 1 every node draws from `serial_rng` in node
   /// order (the exact legacy sequence); otherwise nodes fan out across
   /// `pool` (lazily self-built when null) with per-node streams, making the
-  /// result a function of the seed alone.
+  /// result a function of the seed alone. Either way the aggregations run
+  /// forward-only through packed AggregateBatch chunks (DESIGN.md §13).
   Tensor ComputeFinalEmbeddings(Rng* serial_rng, ThreadPool* pool = nullptr);
 
   /// ComputeFinalEmbeddings + §IV.D's e_x := z_x write-back into the table.
@@ -91,8 +87,13 @@ class InferenceEngine {
   /// underflows), so its scale matches the normalized aggregated ones.
   void FinalizeIsolated(NodeId v, float* dst) const;
 
-  /// Computes node v's final embedding from its per-node stream into `dst`.
-  void FinalizeNodeStreamed(NodeId v, float* dst);
+  /// The one aggregation path: writes the final embedding of every node v
+  /// in nodes[begin, end) into out->Row(v). Plans run through
+  /// AggregateBatch under a NoTapeScope, in chunks bounded by packed walk
+  /// rows. Nodes draw from `serial_rng` in order, or from their per-node
+  /// streams when it is null.
+  void AggregateRange(std::span<const NodeId> nodes, size_t begin,
+                      size_t end, Rng* serial_rng, Tensor* out);
 
   ThreadPool* EnsurePool();
 

@@ -815,8 +815,10 @@ std::vector<EhnaModel::EpochStats> EhnaModel::Train(
 }
 
 Tensor EhnaModel::AggregateAt(NodeId node, Timestamp ref_time) {
-  InferenceEngine engine(graph_, &embedding_, &aggregator_, config_);
-  return engine.AggregateAt(node, ref_time, &rng_);
+  NoTapeScope no_tape;
+  std::vector<AggregationPlan> plan(1);
+  aggregator_.PlanAggregation(node, ref_time, &rng_, &plan[0]);
+  return aggregator_.AggregateBatch(plan, /*training=*/false)[0].value();
 }
 
 Tensor EhnaModel::FinalizeEmbeddings() {

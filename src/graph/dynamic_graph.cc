@@ -21,13 +21,7 @@ DynamicTemporalGraph::DynamicTemporalGraph(const TemporalGraph* base,
 }
 
 Status DynamicTemporalGraph::Ingest(const TemporalEdge& edge) {
-  if (edge.src == edge.dst) {
-    return Status::InvalidArgument("self-loop edge (" +
-                                   std::to_string(edge.src) + ")");
-  }
-  if (edge.weight < 0.0f) {
-    return Status::InvalidArgument("negative edge weight");
-  }
+  EHNA_RETURN_NOT_OK(TemporalGraph::ValidateEdge(edge));
   Status count_ok = TemporalGraph::ValidateEdgeCount(total_edges() + 1);
   if (!count_ok.ok()) return count_ok;
 

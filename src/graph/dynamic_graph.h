@@ -71,9 +71,9 @@ class DynamicTemporalGraph {
   bool directed() const { return current().directed(); }
 
   /// Appends one edge to the delta: O(1) plus O(cache_capacity) reservoir
-  /// maintenance. Applies FromEdges' validation eagerly (self-loops and
-  /// negative weights rejected, edge-count ceiling enforced) so Compact
-  /// cannot fail on data accepted here. Timestamps may arrive out of
+  /// maintenance. Applies FromEdges' validation eagerly
+  /// (TemporalGraph::ValidateEdge, edge-count ceiling) so Compact cannot
+  /// fail on data accepted here. Timestamps may arrive out of
   /// order — Compact's stable merge restores chronology.
   Status Ingest(const TemporalEdge& edge);
 

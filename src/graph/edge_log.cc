@@ -151,21 +151,12 @@ Status EdgeLogWriter::Append(const TemporalEdge& edge) {
         "edge endpoint " + std::to_string(std::max(edge.src, edge.dst)) +
         " >= num_nodes " + std::to_string(num_nodes_));
   }
-  if (edge.src == edge.dst) {
-    return Status::InvalidArgument("self-loop on node " +
-                                   std::to_string(edge.src));
-  }
-  if (!std::isfinite(edge.time)) {
-    return Status::InvalidArgument("non-finite timestamp");
-  }
+  EHNA_RETURN_NOT_OK(TemporalGraph::ValidateEdge(edge));
   if (num_edges_ > 0 && edge.time < last_time_) {
     return Status::InvalidArgument(
         "edge log appends must be time-sorted: time " +
         std::to_string(edge.time) + " < previous " +
         std::to_string(last_time_));
-  }
-  if (!std::isfinite(edge.weight) || edge.weight < 0.0f) {
-    return Status::InvalidArgument("non-finite or negative edge weight");
   }
   EHNA_RETURN_NOT_OK(TemporalGraph::ValidateEdgeCount(num_edges_ + 1));
 

@@ -7,13 +7,9 @@ namespace ehna {
 
 Status TemporalGraphBuilder::AddEdge(NodeId src, NodeId dst, Timestamp time,
                                      float weight) {
-  if (src == dst) {
-    return Status::InvalidArgument("self-loop on node " + std::to_string(src));
-  }
-  if (weight < 0.0f) {
-    return Status::InvalidArgument("negative edge weight");
-  }
-  edges_.push_back(TemporalEdge{src, dst, time, weight});
+  const TemporalEdge edge{src, dst, time, weight};
+  EHNA_RETURN_NOT_OK(TemporalGraph::ValidateEdge(edge));
+  edges_.push_back(edge);
   return Status::OK();
 }
 

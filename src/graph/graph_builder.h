@@ -19,9 +19,9 @@ class TemporalGraphBuilder {
   explicit TemporalGraphBuilder(bool directed = false)
       : directed_(directed) {}
 
-  /// Appends one interaction. Returns InvalidArgument for self-loops or
-  /// negative weights (checked eagerly so a bad event is attributable to
-  /// its call site rather than a later Build()).
+  /// Appends one interaction. Returns InvalidArgument for any edge
+  /// TemporalGraph::ValidateEdge rejects (checked eagerly so a bad event is
+  /// attributable to its call site rather than a later Build()).
   Status AddEdge(NodeId src, NodeId dst, Timestamp time, float weight = 1.0f);
 
   /// Appends a batch.

@@ -1,6 +1,7 @@
 #include "graph/temporal_graph.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -18,6 +19,24 @@ Status TemporalGraph::ValidateEdgeCount(uint64_t count) {
   return Status::OK();
 }
 
+Status TemporalGraph::ValidateEdge(const TemporalEdge& edge) {
+  if (edge.src == kInvalidNode || edge.dst == kInvalidNode) {
+    return Status::InvalidArgument("node id " + std::to_string(kInvalidNode) +
+                                   " is reserved (kInvalidNode)");
+  }
+  if (edge.src == edge.dst) {
+    return Status::InvalidArgument("self-loop on node " +
+                                   std::to_string(edge.src));
+  }
+  if (!std::isfinite(edge.time)) {
+    return Status::InvalidArgument("non-finite timestamp");
+  }
+  if (!std::isfinite(edge.weight) || edge.weight < 0.0f) {
+    return Status::InvalidArgument("non-finite or negative edge weight");
+  }
+  return Status::OK();
+}
+
 Result<TemporalGraph> TemporalGraph::FromEdges(std::vector<TemporalEdge> edges,
                                                NodeId num_nodes,
                                                bool directed) {
@@ -27,13 +46,7 @@ Result<TemporalGraph> TemporalGraph::FromEdges(std::vector<TemporalEdge> edges,
 
   NodeId max_id = 0;
   for (const auto& e : edges) {
-    if (e.src == e.dst) {
-      return Status::InvalidArgument("self-loop on node " +
-                                     std::to_string(e.src));
-    }
-    if (e.weight < 0.0f) {
-      return Status::InvalidArgument("negative edge weight");
-    }
+    EHNA_RETURN_NOT_OK(ValidateEdge(e));
     max_id = std::max(max_id, std::max(e.src, e.dst));
   }
   if (num_nodes == 0) {

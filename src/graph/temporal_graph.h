@@ -63,6 +63,13 @@ class TemporalGraph {
   /// without materializing 4 billion edges.
   static Status ValidateEdgeCount(uint64_t count);
 
+  /// OK iff `edge` may enter a graph: finite time, finite non-negative
+  /// weight, distinct endpoints, and neither endpoint the reserved
+  /// kInvalidNode (whose id + 1 would wrap the node count to 0). The one
+  /// edge check shared by FromEdges, TemporalGraphBuilder, the edge-log
+  /// writer, and DynamicTemporalGraph::Ingest.
+  static Status ValidateEdge(const TemporalEdge& edge);
+
   /// Builds a graph from `edges`. Node ids must be < `num_nodes`; if
   /// `num_nodes` is 0 it is inferred as max id + 1. Self-loops are rejected.
   /// When `directed` is false (the paper's setting for all four datasets)

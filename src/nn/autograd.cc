@@ -8,6 +8,16 @@ namespace ehna {
 
 using internal::VarImpl;
 
+namespace {
+thread_local bool no_tape = false;
+}  // namespace
+
+NoTapeScope::NoTapeScope() : previous_(no_tape) { no_tape = true; }
+
+NoTapeScope::~NoTapeScope() { no_tape = previous_; }
+
+bool NoTapeScope::active() { return no_tape; }
+
 Var Var::Leaf(Tensor value, bool requires_grad) {
   auto impl = std::make_shared<VarImpl>();
   impl->value = std::move(value);
@@ -19,13 +29,15 @@ Var Var::Leaf(Tensor value, bool requires_grad) {
 Var Var::Op(Tensor value, std::vector<Var> parents,
             std::function<void(const Tensor&, const Tensor&)> backward,
             const char* name) {
+  for (const Var& p : parents) {
+    EHNA_CHECK(p.defined());
+  }
   auto impl = std::make_shared<VarImpl>();
   impl->value = std::move(value);
-  impl->parents = std::move(parents);
-  impl->backward = std::move(backward);
   impl->name = name;
-  for (const Var& p : impl->parents) {
-    EHNA_CHECK(p.defined());
+  if (!no_tape) {
+    impl->parents = std::move(parents);
+    impl->backward = std::move(backward);
   }
   return Var(std::move(impl));
 }

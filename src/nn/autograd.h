@@ -90,6 +90,28 @@ class Var {
   std::shared_ptr<internal::VarImpl> impl_;
 };
 
+/// Forward-only mode (DESIGN.md §13). While a scope is alive on the calling
+/// thread, Var::Op keeps each node's value but records no parents and no
+/// backward closure, so a forward pass builds no tape: intermediates are
+/// freed as soon as nothing downstream reads their values, and Backward
+/// through such a node reaches nothing. Values are computed by the same
+/// code either way, so they are bitwise-identical with and without a tape.
+/// Scopes nest (the destructor restores the previous state) and are
+/// thread-local: other threads keep recording.
+class NoTapeScope {
+ public:
+  NoTapeScope();
+  ~NoTapeScope();
+  NoTapeScope(const NoTapeScope&) = delete;
+  NoTapeScope& operator=(const NoTapeScope&) = delete;
+
+  /// True while any NoTapeScope is alive on the calling thread.
+  static bool active();
+
+ private:
+  bool previous_;
+};
+
 namespace internal {
 struct VarImpl {
   Tensor value;

@@ -127,18 +127,23 @@ Status EmbeddingServer::RefreshLocked() {
   if (affected_.empty() && overlay_->pending_edges() == 0) {
     return Status::OK();
   }
+  // The sub-phases below nest inside serve.phase.refresh and split it
+  // (DESIGN.md §8); the engine adds infer.phase.* inside refresh_aggregate.
   EHNA_TRACE_PHASE("serve.phase.refresh");
 
-  Status st = overlay_->Compact();
-  if (!st.ok()) return st;
-  const TemporalGraph& graph = overlay_->current();
-  engine_->RebindGraph(&graph);
+  {
+    EHNA_TRACE_PHASE("serve.phase.refresh_compact");
+    Status st = overlay_->Compact();
+    if (!st.ok()) return st;
+    engine_->RebindGraph(&overlay_->current());
+  }
 
   // Nodes first seen in the stream: extend the trained table (fresh
   // word2vec-style rows from the dedicated grow stream) and the serving
   // matrix. Existing rows keep their bytes.
-  const NodeId n = graph.num_nodes();
+  const NodeId n = overlay_->current().num_nodes();
   if (static_cast<int64_t>(n) > serving_.rows()) {
+    EHNA_TRACE_PHASE("serve.phase.refresh_grow");
     model_->embedding()->EnsureRows(n, &grow_rng_);
     Tensor grown(n, serving_.cols());
     std::copy(serving_.data(), serving_.data() + serving_.numel(),
@@ -146,12 +151,21 @@ Status EmbeddingServer::RefreshLocked() {
     serving_ = std::move(grown);
   }
 
-  engine_->RefreshInto(affected_, &serving_);
-  // Re-quantize exactly the refreshed rows: RequantizeRow is a pure
-  // function of the fp32 row, so untouched mirror rows keep their bytes.
-  RequantizeRows(affected_);
-  for (const NodeId v : affected_) {
-    index_->Update(v, serving_.Row(v));
+  {
+    EHNA_TRACE_PHASE("serve.phase.refresh_aggregate");
+    engine_->RefreshInto(affected_, &serving_);
+  }
+  {
+    // Re-quantize exactly the refreshed rows: RequantizeRow is a pure
+    // function of the fp32 row, so untouched mirror rows keep their bytes.
+    EHNA_TRACE_PHASE("serve.phase.refresh_requantize");
+    RequantizeRows(affected_);
+  }
+  {
+    EHNA_TRACE_PHASE("serve.phase.refresh_index_upsert");
+    for (const NodeId v : affected_) {
+      index_->Update(v, serving_.Row(v));
+    }
   }
   ++refreshes_;
   refreshed_nodes_ += affected_.size();

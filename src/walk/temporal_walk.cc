@@ -27,7 +27,10 @@ std::vector<double>& PrefixScratch() {
 
 TemporalWalkSampler::TemporalWalkSampler(const TemporalGraph* graph,
                                          TemporalWalkConfig config)
-    : graph_(graph), config_(config), inv_span_(1.0 / graph->TimeSpan()) {
+    : graph_(graph),
+      config_(config),
+      inv_span_(1.0 / graph->TimeSpan()),
+      uniform_beta_(1.0 / config.p == 1.0 && 1.0 / config.q == 1.0) {
   EHNA_CHECK(graph != nullptr);
   EHNA_CHECK_GT(config_.p, 0.0);
   EHNA_CHECK_GT(config_.q, 0.0);
@@ -46,6 +49,7 @@ double TemporalWalkSampler::TransitionWeight(NodeId prev, Timestamp prev_time,
     kernel *= std::exp(-config_.decay_rate * (dt > 0.0 ? dt : 0.0));
   }
   if (prev == kInvalidNode) return kernel;  // first step: no beta factor.
+  if (uniform_beta_) return kernel;  // 1.0 * kernel == kernel exactly.
 
   double beta;
   if (cand.neighbor == prev) {

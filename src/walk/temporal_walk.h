@@ -83,6 +83,9 @@ class TemporalWalkSampler {
   const TemporalGraph* graph_;
   TemporalWalkConfig config_;
   double inv_span_;
+  /// 1/p == 1/q == 1: every beta factor is exactly 1.0, so TransitionWeight
+  /// skips the HasEdge lookup whose answer could not change the weight.
+  bool uniform_beta_;
 };
 
 }  // namespace ehna

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <thread>
+#include <vector>
 
 #include "nn/autograd.h"
 #include "nn/init.h"
@@ -105,6 +108,104 @@ TEST(AutogradTest, RepeatedBackwardAccumulates) {
   Backward(ag::ScalarMul(x, 2.0f));
   Backward(ag::ScalarMul(x, 3.0f));
   EXPECT_FLOAT_EQ(x.grad()[0], 5.0f);
+}
+
+// ------------------------------------------------------- NoTapeScope
+
+/// A small multi-op forward (MatMul, broadcast, gates, row ops, reductions)
+/// over fixed inputs; returns every intermediate so tests can inspect them.
+std::vector<Var> ForwardChain() {
+  Rng rng(5);
+  Tensor xt(3, 4), wt(4, 5), bt(5);
+  UniformInit(&xt, -1.0f, 1.0f, &rng);
+  UniformInit(&wt, -1.0f, 1.0f, &rng);
+  UniformInit(&bt, -1.0f, 1.0f, &rng);
+  Var x = Var::Leaf(xt, true);
+  Var w = Var::Leaf(wt, true);
+  Var b = Var::Leaf(bt, true);
+  Var h = ag::AddRowBroadcast(ag::MatMul(x, w), b);
+  Var g = ag::Mul(ag::Sigmoid(h), ag::Tanh(h));
+  Var r = ag::ConcatRows({ag::Row(g, 2), ag::Row(g, 0)});
+  Var loss = ag::Add(ag::SumSquares(r), ag::Mean(ag::Relu(g)));
+  return {x, w, b, h, g, r, loss};
+}
+
+TEST(NoTapeScopeTest, ValuesBitwiseEqualWithAndWithoutTape) {
+  const std::vector<Var> taped = ForwardChain();
+  std::vector<Var> untaped;
+  {
+    NoTapeScope no_tape;
+    untaped = ForwardChain();
+  }
+  ASSERT_EQ(taped.size(), untaped.size());
+  for (size_t i = 0; i < taped.size(); ++i) {
+    const Tensor& a = taped[i].value();
+    const Tensor& b = untaped[i].value();
+    ASSERT_EQ(a.numel(), b.numel()) << "node " << i;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)), 0)
+        << "node " << i;
+  }
+}
+
+TEST(NoTapeScopeTest, OpsRecordNoParentsOrBackward) {
+  std::vector<Var> nodes;
+  {
+    NoTapeScope no_tape;
+    nodes = ForwardChain();
+  }
+  for (size_t i = 3; i < nodes.size(); ++i) {  // skip the three leaves.
+    EXPECT_TRUE(nodes[i].impl()->parents.empty()) << nodes[i].name();
+    EXPECT_FALSE(static_cast<bool>(nodes[i].impl()->backward))
+        << nodes[i].name();
+  }
+  // With nothing recorded, Backward reaches no leaf.
+  Backward(nodes.back());
+  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(nodes[i].grad().numel(), 0);
+
+  // Outside the scope the same chain records a tape again.
+  const std::vector<Var> taped = ForwardChain();
+  EXPECT_FALSE(taped.back().impl()->parents.empty());
+  Backward(taped.back());
+  EXPECT_GT(taped[0].grad().numel(), 0);
+}
+
+TEST(NoTapeScopeTest, NestedScopesRestorePreviousState) {
+  EXPECT_FALSE(NoTapeScope::active());
+  {
+    NoTapeScope outer;
+    EXPECT_TRUE(NoTapeScope::active());
+    {
+      NoTapeScope inner;
+      EXPECT_TRUE(NoTapeScope::active());
+    }
+    EXPECT_TRUE(NoTapeScope::active());  // inner exit keeps outer's state.
+    Var x = Var::Leaf(Tensor::FromVector({1.0f}), true);
+    EXPECT_TRUE(ag::ScalarMul(x, 2.0f).impl()->parents.empty());
+  }
+  EXPECT_FALSE(NoTapeScope::active());
+  Var x = Var::Leaf(Tensor::FromVector({1.0f}), true);
+  EXPECT_EQ(ag::ScalarMul(x, 2.0f).impl()->parents.size(), 1u);
+}
+
+TEST(NoTapeScopeTest, ScopeIsThreadLocal) {
+  NoTapeScope no_tape;
+  bool other_active = true;
+  size_t other_parents = 0;
+  float other_grad = 0.0f;
+  std::thread other([&] {
+    other_active = NoTapeScope::active();
+    Var x = Var::Leaf(Tensor::FromVector({1.5f}), true);
+    Var y = ag::ScalarMul(x, 4.0f);
+    other_parents = y.impl()->parents.size();
+    Backward(y);
+    other_grad = x.grad()[0];
+  });
+  other.join();
+  EXPECT_FALSE(other_active);
+  EXPECT_EQ(other_parents, 1u);
+  EXPECT_EQ(other_grad, 4.0f);
+  // This thread is still inside its scope.
+  EXPECT_TRUE(NoTapeScope::active());
 }
 
 // ------------------------------------------------- Finite-diff checks

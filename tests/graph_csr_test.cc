@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -195,6 +196,109 @@ TEST_P(CsrDifferentialTest, AllObservationsMatchReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CsrDifferentialTest,
+                         ::testing::ValuesIn(SweepConfigs()),
+                         [](const auto& info) { return info.param.name; });
+
+// ------------------------------------------------ walk-sampler reference
+
+/// Test-local temporal walk over the reference adjacency: Eq. 1-2 weights
+/// with the beta factor's HasEdge lookup evaluated for every candidate of
+/// every step — even at p = q = 1, where the sampler skips it — and the
+/// sampler's selection rule (first inclusive prefix sum >= pick).
+Walk ReferenceWalk(const ReferenceGraph& ref, const TemporalWalkConfig& c,
+                   double inv_span, NodeId start, Timestamp ref_time,
+                   Rng* rng) {
+  Walk walk = {WalkStep{start, 0.0, 0.0f}};
+  NodeId prev = kInvalidNode;
+  NodeId current = start;
+  Timestamp frontier = ref_time;
+  for (int step = 0; step < c.walk_length; ++step) {
+    const std::vector<AdjEntry> cands = ref.NeighborsBefore(current, frontier);
+    if (cands.empty()) break;
+    std::vector<double> prefix;
+    double total = 0.0;
+    for (const AdjEntry& a : cands) {
+      double w = a.weight;
+      if (c.use_time_decay) {
+        const double dt = (ref_time - a.time) * inv_span;
+        w *= std::exp(-c.decay_rate * (dt > 0.0 ? dt : 0.0));
+      }
+      if (prev != kInvalidNode) {
+        const bool linked = ref.HasEdge(prev, a.neighbor);
+        double beta;
+        if (a.neighbor == prev) {
+          beta = std::isinf(c.p) ? 0.0 : 1.0 / c.p;
+        } else if (linked) {
+          beta = 1.0;
+        } else {
+          beta = 1.0 / c.q;
+        }
+        w = beta * w;
+      }
+      total += w;
+      prefix.push_back(total);
+    }
+    if (total <= 0.0) break;
+    const double pick = rng->Uniform() * total;
+    size_t chosen = cands.size() - 1;
+    for (size_t i = 0; i < cands.size(); ++i) {
+      if (prefix[i] >= pick) {
+        chosen = i;
+        break;
+      }
+    }
+    const AdjEntry& next = cands[chosen];
+    walk.push_back(WalkStep{next.neighbor, next.time, next.weight});
+    prev = current;
+    current = next.neighbor;
+    frontier = next.time;
+  }
+  return walk;
+}
+
+class WalkReferenceTest : public ::testing::TestWithParam<EdgeSetConfig> {};
+
+TEST_P(WalkReferenceTest, WalksMatchAlwaysHasEdgeReference) {
+  const EdgeSetConfig cfg = GetParam();
+  Rng edge_rng(4242);
+  const auto input = RandomEdges(cfg, &edge_rng);
+  const ReferenceGraph ref =
+      ReferenceGraph::Build(input, cfg.num_nodes, cfg.directed);
+  auto built = TemporalGraph::FromEdges(input, cfg.num_nodes, cfg.directed);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const TemporalGraph& g = built.value();
+  const double inv_span = 1.0 / g.TimeSpan();
+
+  // p = q = 1 takes the sampler's uniform-beta shortcut; the others keep
+  // the HasEdge lookup and must be unchanged by it.
+  const std::vector<std::pair<double, double>> pqs = {
+      {1.0, 1.0}, {2.0, 0.5}, {0.5, 2.0}, {1.0, 4.0}};
+  for (const auto& [p, q] : pqs) {
+    TemporalWalkConfig wcfg;
+    wcfg.walk_length = 8;
+    wcfg.num_walks = 1;
+    wcfg.p = p;
+    wcfg.q = q;
+    TemporalWalkSampler sampler(&g, wcfg);
+    Rng anchor_rng(99);
+    size_t steps = 0;
+    for (int a = 0; a < 200; ++a) {
+      const NodeId start =
+          static_cast<NodeId>(anchor_rng.UniformInt(cfg.num_nodes));
+      const Timestamp t = anchor_rng.Uniform(g.min_time(), g.max_time() + 1.0);
+      Rng got_rng(1000 + a), want_rng(1000 + a);
+      const Walk got = sampler.SampleWalk(start, t, &got_rng);
+      const Walk want = ReferenceWalk(ref, wcfg, inv_span, start, t, &want_rng);
+      ASSERT_EQ(got, want) << "p=" << p << " q=" << q << " anchor " << a;
+      // Same number of draws, too.
+      ASSERT_EQ(got_rng.Next(), want_rng.Next()) << "anchor " << a;
+      steps += got.size() - 1;
+    }
+    EXPECT_GT(steps, 50u) << "walks barely moved; the check would be vacuous";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, WalkReferenceTest,
                          ::testing::ValuesIn(SweepConfigs()),
                          [](const auto& info) { return info.param.name; });
 

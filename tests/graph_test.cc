@@ -3,8 +3,12 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "graph/edgelist_io.h"
+#include "graph/graph_builder.h"
 #include "graph/noise_distribution.h"
 #include "graph/split.h"
 #include "graph/temporal_graph.h"
@@ -39,6 +43,46 @@ TEST(TemporalGraphTest, RejectsNegativeWeights) {
 TEST(TemporalGraphTest, RejectsOutOfRangeNodeIds) {
   auto g = TemporalGraph::FromEdges({{0, 5, 0.0, 1.0f}}, /*num_nodes=*/3);
   EXPECT_FALSE(g.ok());
+}
+
+// Every edge entry point shares TemporalGraph::ValidateEdge. Before it,
+// FromEdges and the builder let NaN slip past `weight < 0` and handed NaN
+// times to stable_sort's comparator (no strict weak order: UB), and the
+// builder's `id + 1` node count wrapped to 0 for kInvalidNode.
+TEST(TemporalGraphTest, ValidateEdgeRejectsNonFiniteAndReservedIds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const float nanf = std::numeric_limits<float>::quiet_NaN();
+  const float inff = std::numeric_limits<float>::infinity();
+  const std::vector<TemporalEdge> bad = {
+      {0, 1, nan, 1.0f},  {0, 1, inf, 1.0f},   {0, 1, -inf, 1.0f},
+      {0, 1, 2.0, nanf},  {0, 1, 2.0, inff},   {0, 1, 2.0, -0.5f},
+      {3, 3, 2.0, 1.0f},  {kInvalidNode, 1, 2.0, 1.0f},
+      {1, kInvalidNode, 2.0, 1.0f},
+  };
+  for (const TemporalEdge& e : bad) {
+    SCOPED_TRACE(std::to_string(e.src) + "->" + std::to_string(e.dst) +
+                 " t=" + std::to_string(e.time) +
+                 " w=" + std::to_string(e.weight));
+    EXPECT_EQ(TemporalGraph::ValidateEdge(e).code(),
+              StatusCode::kInvalidArgument);
+    // FromEdges, with the bad edge among good ones.
+    std::vector<TemporalEdge> edges = TriangleEdges();
+    edges.insert(edges.begin() + 1, e);
+    auto g = TemporalGraph::FromEdges(edges);
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+    // The builder rejects it at AddEdge and keeps no trace of it.
+    TemporalGraphBuilder builder;
+    EXPECT_EQ(builder.AddEdge(e.src, e.dst, e.time, e.weight).code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(builder.AddEdges(TriangleEdges()).ok());
+    auto built = builder.Build();
+    ASSERT_TRUE(built.ok());
+    EXPECT_EQ(built.value().num_nodes(), 3u);
+  }
+  EXPECT_TRUE(TemporalGraph::ValidateEdge({0, 1, 2.0, 0.0f}).ok());
+  EXPECT_TRUE(TemporalGraph::ValidateEdge({kInvalidNode - 1, 0, -3.0}).ok());
 }
 
 TEST(TemporalGraphTest, ExplicitNumNodesAllowsIsolated) {

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -29,6 +30,7 @@
 #include "graph/generators/generators.h"
 #include "nn/quant.h"
 #include "serve/embedding_server.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "walk/temporal_walk.h"
 
@@ -237,6 +239,43 @@ TEST(DynamicGraphTest, GrowsNodeSpaceAndValidatesEdges) {
   ASSERT_TRUE(overlay.Compact().ok());
   EXPECT_EQ(overlay.current().num_nodes(), 8u);
   EXPECT_TRUE(overlay.current().HasEdge(2, 7));
+}
+
+// Regressions for malformed live edges. Node id 0xFFFFFFFF (what
+// serve_demo's `INGEST -1 5 3.0` parses to) used to wrap the overlay's
+// max(src, dst) + 1 node count to 0, skip the resize, and read the
+// reservoir caches out of bounds; NaN weights passed the `weight < 0`
+// check and NaN times later broke Compact's stable_sort comparator.
+TEST(DynamicGraphTest, RejectsReservedIdAndNonFiniteEdges) {
+  auto base = TemporalGraph::FromEdges({{0, 1, 1.0}, {1, 2, 2.0}}, 3, false);
+  ASSERT_TRUE(base.ok());
+  DynamicTemporalGraph overlay(&base.value());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const float nanf = std::numeric_limits<float>::quiet_NaN();
+  const float inff = std::numeric_limits<float>::infinity();
+
+  const std::vector<TemporalEdge> bad = {
+      {kInvalidNode, 5, 3.0},   // serve_demo's `INGEST -1 5 3.0`
+      {5, kInvalidNode, 3.0},
+      {0, 1, nan},
+      {0, 1, inf},
+      {0, 1, -inf},
+      {0, 1, 3.0, nanf},
+      {0, 1, 3.0, inff},
+  };
+  for (const TemporalEdge& e : bad) {
+    const Status st = overlay.Ingest(e);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << e.src << " " << e.dst << " " << e.time << " " << e.weight;
+  }
+  EXPECT_EQ(overlay.pending_edges(), 0u);
+  EXPECT_EQ(overlay.num_nodes(), 3u);
+
+  // The overlay is still fully usable afterwards.
+  ASSERT_TRUE(overlay.Ingest({2, 4, 3.0}).ok());
+  ASSERT_TRUE(overlay.Compact().ok());
+  EXPECT_EQ(overlay.current().num_nodes(), 5u);
 }
 
 TEST(DynamicGraphTest, CandidateCachesAreBoundedAndSeeded) {
@@ -653,6 +692,96 @@ TEST(EmbeddingServerTest, Int8RefreshRequantizesExactlyAffectedRows) {
 
   // Serving in reduced precision leaves the checkpoint file untouched.
   EXPECT_EQ(ckpt_before, ReadBytes(fx.ckpt));
+}
+
+// The serving entry point of the same repro: a malformed edge comes back
+// as InvalidArgument and leaves the server untouched and serving.
+TEST(EmbeddingServerTest, IngestRejectsMalformedEdges) {
+  ServerFixture fx("malformed");
+  auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, fx.Options());
+  ASSERT_TRUE(loaded.ok());
+  EmbeddingServer& server = *loaded.value();
+  const Tensor before = server.ServingEmbeddings();
+  const Timestamp t0 = fx.graph.max_time();
+
+  EXPECT_EQ(server.Ingest({kInvalidNode, 5, t0 + 1.0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      server.Ingest({0, 1, std::numeric_limits<double>::quiet_NaN()}).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Ingest({0, 1, t0 + 1.0,
+                           std::numeric_limits<float>::quiet_NaN()})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.stats().ingested_edges, 0u);
+  EXPECT_EQ(server.stats().pending_edges, 0u);
+  ASSERT_TRUE(server.Refresh().ok());
+  EXPECT_TRUE(SameBytes(before, server.ServingEmbeddings()));
+  EXPECT_TRUE(server.Query(3, 5).ok());
+}
+
+// Metrics never change bytes (DESIGN.md §8): with the registry on or off,
+// the finalize matrix, the post-finalize checkpoint, and the rows a server
+// serves after Load + ingest + Refresh are byte-identical. With metrics on,
+// the refresh and inference sub-phases must actually have been recorded.
+TEST(EmbeddingServerTest, MetricsOnOffServeIdenticalBytes) {
+  ServerFixture fx("metrics_on_off");
+  const NodeId n = fx.graph.num_nodes();
+  const Timestamp t0 = fx.graph.max_time();
+  std::vector<TemporalEdge> stream;
+  Rng rng(71);
+  while (stream.size() < 24) {
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(uint64_t{n}));
+    const NodeId v = static_cast<NodeId>(rng.UniformInt(uint64_t{n}));
+    if (u == v) continue;
+    stream.push_back({u, v, t0 + 1.0 + static_cast<double>(stream.size())});
+  }
+  stream.push_back({1, n + 1, t0 + 50.0});  // grows the table too.
+
+  struct Run {
+    Tensor finalized;
+    std::string checkpoint;
+    Tensor served;
+  };
+  auto run = [&](bool metrics_enabled) {
+    MetricsRegistry::SetEnabled(metrics_enabled);
+    Run r;
+    EhnaModel model(&fx.graph, fx.cfg);
+    EHNA_CHECK(model.RestoreCheckpoint(fx.ckpt).ok());
+    r.finalized = model.FinalizeEmbeddings();
+    const std::string path = fx.dir + "/final.ehnc";
+    EHNA_CHECK(model.SaveCheckpoint(path).ok());
+    r.checkpoint = ReadBytes(path);
+    auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, fx.Options());
+    EHNA_CHECK(loaded.ok());
+    for (const TemporalEdge& e : stream) {
+      EHNA_CHECK(loaded.value()->Ingest(e).ok());
+    }
+    EHNA_CHECK(loaded.value()->Refresh().ok());
+    r.served = loaded.value()->ServingEmbeddings();
+    MetricsRegistry::SetEnabled(true);
+    return r;
+  };
+
+  MetricsRegistry::Global().Reset();
+  const Run on = run(/*metrics_enabled=*/true);
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  const Run off = run(/*metrics_enabled=*/false);
+
+  EXPECT_TRUE(SameBytes(on.finalized, off.finalized));
+  ASSERT_FALSE(on.checkpoint.empty());
+  EXPECT_EQ(on.checkpoint, off.checkpoint);
+  EXPECT_TRUE(SameBytes(on.served, off.served));
+
+  for (const char* phase :
+       {"serve.phase.refresh", "serve.phase.refresh_compact",
+        "serve.phase.refresh_grow", "serve.phase.refresh_aggregate",
+        "serve.phase.refresh_requantize", "serve.phase.refresh_index_upsert",
+        "infer.phase.plan", "infer.phase.packed_forward"}) {
+    const HistogramData* h = snap.Histogram(phase);
+    ASSERT_NE(h, nullptr) << phase;
+    EXPECT_GT(h->count(), 0u) << phase;
+  }
 }
 
 // (d) Concurrent ingest + query: exercised under TSan via the
