@@ -521,6 +521,46 @@ void BM_IsaKernelTables(benchmark::State& state) {
       }
     }
 
+    // Segmented GemmTN at the paper's LSTM weight-gradient shape (dim 64:
+    // w_hh is 64×256): 100 node-level units of k = 10 rows, or 100
+    // walk-level units of one row each, folded in one call.
+    for (const int64_t rows : {10, 1}) {
+      const int64_t m = 64, n = 256, num_segs = 100;
+      Tensor a(num_segs * rows, m), b(num_segs * rows, n);
+      Tensor c_ref(m, n), c_avx(m, n);
+      UniformInit(&a, -1, 1, &rng);
+      UniformInit(&b, -1, 1, &rng);
+      std::vector<ehna::kernels::GemmTNSegment> segs;
+      for (int64_t s = 0; s < num_segs; ++s) {
+        segs.push_back({a.Row(s * rows), b.Row(s * rows), rows});
+      }
+      const double flops = 2.0 * m * n * static_cast<double>(num_segs * rows);
+      const std::string shape =
+          "64x256 " + std::to_string(num_segs) + "x" + std::to_string(rows);
+      const auto run = [&](const KernelTable& t, float* c) {
+        t.gemm_tn_segments(m, n, segs.data(), num_segs, c, false);
+      };
+      const double scalar_s =
+          TimePerCall([&] { run(scalar, c_ref.data()); }, window);
+      AddJsonRecord("gemm_tn_segments", shape, "scalar", "gflops",
+                    flops / scalar_s / 1e9);
+      std::string avx_cell = "-";
+      std::string speedup_cell = "-";
+      if (avx2 != nullptr) {
+        const double avx2_s =
+            TimePerCall([&] { run(*avx2, c_avx.data()); }, window);
+        ExpectBitwiseEqual("gemm_tn_segments", c_ref.data(), c_avx.data(),
+                           m * n);
+        AddJsonRecord("gemm_tn_segments", shape, "avx2", "gflops",
+                      flops / avx2_s / 1e9);
+        avx_cell = TableWriter::FormatDouble(flops / avx2_s / 1e9, 2);
+        speedup_cell = TableWriter::FormatDouble(scalar_s / avx2_s, 2);
+      }
+      table.AddRow({"gemm_tn_segments", shape,
+                    TableWriter::FormatDouble(flops / scalar_s / 1e9, 2),
+                    avx_cell, speedup_cell});
+    }
+
     // Gemv / GemvT over a square operand.
     for (const int64_t n : gemm_sizes) {
       Tensor a(n, n), x(n), y_ref(n), y_avx(n);

@@ -183,6 +183,7 @@ void BM_Table8_PhaseBreakdown(benchmark::State& state) {
   const std::vector<PhaseRow> phases{
       {"walk sampling (within fwd+bwd)", "train.phase.walk_sampling"},
       {"forward + backward", "train.phase.forward_backward"},
+      {"weight-grad replay (within fwd+bwd)", "train.phase.grad_replay"},
       {"gradient reduction", "train.phase.grad_reduce"},
       {"optimizer step", "train.phase.optimizer_step"},
       {"checkpoint save", "train.phase.checkpoint_save"},
@@ -240,6 +241,8 @@ void BM_Table8_PhaseBreakdown(benchmark::State& state) {
             snap.PhaseSeconds("train.phase.checkpoint_save");
         state.counters["walk_sampling_s"] =
             snap.PhaseSeconds("train.phase.walk_sampling");
+        state.counters["grad_replay_s"] =
+            snap.PhaseSeconds("train.phase.grad_replay");
       }
     }
 

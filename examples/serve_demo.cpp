@@ -10,6 +10,9 @@
 //   STATS                    server counters
 //   QUIT                     exit
 //
+// Every token must parse whole and a line may carry no extra tokens;
+// anything else answers `ERR usage: ...` and changes nothing.
+//
 // `serve_demo --smoke` instead runs a scripted end-to-end check (used by
 // CI): ingest a stream of edges, refresh, and verify the served embeddings
 // against a from-scratch offline recompute — bitwise for refreshed nodes —
@@ -20,6 +23,7 @@
 // that the server's quantized mirror is byte-identical to quantizing the
 // served fp32 matrix offline, and that the quantized exact scan agrees
 // with the fp32 oracle at recall@10 >= 0.99.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -92,6 +96,16 @@ bool BuildServer(TrainedServer* out, size_t refresh_batch, size_t nprobe = 0,
   return true;
 }
 
+// Parses one whole protocol token as a T. A token that is not entirely a
+// T — trailing characters, a sign on an unsigned id, out of range — fails
+// rather than reading as 0 the way a failed `>>` does.
+template <typename T>
+bool ParseToken(const std::string& token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 void PrintNeighbors(const Result<std::vector<Neighbor>>& res) {
   if (!res.ok()) {
     std::printf("ERR %s\n", res.status().ToString().c_str());
@@ -117,34 +131,37 @@ int RunRepl(ServePrecision precision) {
   std::string line;
   while (std::getline(std::cin, line)) {
     std::istringstream in(line);
-    std::string cmd;
-    if (!(in >> cmd)) continue;
-    if (cmd == "QUIT" || cmd == "quit") break;
+    std::vector<std::string> tok;
+    for (std::string t; in >> t;) tok.push_back(std::move(t));
+    if (tok.empty()) continue;
+    const std::string& cmd = tok[0];
     if (cmd == "INGEST" || cmd == "ingest") {
       NodeId u, v;
       double t;
       float w = 1.0f;
-      if (!(in >> u >> v >> t)) {
+      if ((tok.size() != 4 && tok.size() != 5) || !ParseToken(tok[1], &u) ||
+          !ParseToken(tok[2], &v) || !ParseToken(tok[3], &t) ||
+          (tok.size() == 5 && !ParseToken(tok[4], &w))) {
         std::printf("ERR usage: INGEST u v t [w]\n");
         continue;
       }
-      in >> w;
       Status st = server.Ingest({u, v, t, w});
       std::printf("%s\n", st.ok() ? "OK" : ("ERR " + st.ToString()).c_str());
     } else if (cmd == "QUERY" || cmd == "query" || cmd == "EXACT" ||
                cmd == "exact") {
       NodeId v;
       size_t k = 10;
-      if (!(in >> v)) {
+      if ((tok.size() != 2 && tok.size() != 3) || !ParseToken(tok[1], &v) ||
+          (tok.size() == 3 && !ParseToken(tok[2], &k))) {
         std::printf("ERR usage: %s v [k]\n", cmd.c_str());
         continue;
       }
-      in >> k;
       const bool exact = (cmd == "EXACT" || cmd == "exact");
       PrintNeighbors(exact ? server.QueryExact(v, k) : server.Query(v, k));
     } else if (cmd == "SCORE" || cmd == "score") {
       NodeId u, v;
-      if (!(in >> u >> v)) {
+      if (tok.size() != 3 || !ParseToken(tok[1], &u) ||
+          !ParseToken(tok[2], &v)) {
         std::printf("ERR usage: SCORE u v\n");
         continue;
       }
@@ -154,6 +171,13 @@ int RunRepl(ServePrecision precision) {
       } else {
         std::printf("ERR %s\n", score.status().ToString().c_str());
       }
+    } else if (cmd != "QUIT" && cmd != "quit" && cmd != "REFRESH" &&
+               cmd != "refresh" && cmd != "STATS" && cmd != "stats") {
+      std::printf("ERR unknown command %s\n", cmd.c_str());
+    } else if (tok.size() != 1) {
+      std::printf("ERR usage: %s\n", cmd.c_str());
+    } else if (cmd == "QUIT" || cmd == "quit") {
+      break;
     } else if (cmd == "REFRESH" || cmd == "refresh") {
       Status st = server.Refresh();
       std::printf("%s\n", st.ok() ? "OK" : ("ERR " + st.ToString()).c_str());
@@ -168,8 +192,6 @@ int RunRepl(ServePrecision precision) {
                   static_cast<unsigned long long>(s.queries),
                   static_cast<unsigned long long>(s.num_nodes),
                   static_cast<unsigned long long>(s.num_edges));
-    } else {
-      std::printf("ERR unknown command %s\n", cmd.c_str());
     }
   }
   std::filesystem::remove(ts.ckpt);

@@ -91,32 +91,58 @@ struct AggReplay {
   internal::VarImpl* mm = nullptr;
 };
 
-// Rebuilds one (aggregation, layer, step) LSTM weight-gradient unit from
-// the aggregation's contiguous row slice. The slice spans the tensors' full
-// width, so the GemmTN operates on exactly the same contiguous memory a
-// per-aggregation pack would present — bitwise-identical contributions no
-// matter how many aggregations share the pack.
-void ReplayLstmUnit(const RawStep& st, int64_t row_off, int64_t k,
-                    const LstmCell& cell) {
+// One weight's gradient segments, in replay order.
+using Segments = std::vector<kernels::GemmTNSegment>;
+
+// The weight-gradient segments of one LSTM cell.
+struct CellSegments {
+  Segments w_ih, w_hh, bias;
+};
+
+// Queues one (aggregation, layer, step) LSTM weight-gradient unit: the
+// aggregation's k contiguous rows of the step's x, h_prev and retained z
+// gradient. The rows span the tensors' full width, so each segment reads
+// exactly the memory a per-aggregation pack would present — bitwise-
+// identical contributions no matter how many aggregations share the pack.
+// The bias unit is a k×1 column of ones against the z rows, whose fma
+// chain from +0 is the plain row sum.
+void AddLstmUnit(const RawStep& st, int64_t row_off, int64_t k,
+                 const float* ones, CellSegments* out) {
   if (!st.z->grad_defined) return;
-  EHNA_TRACE_PHASE("kernels.phase.lstm_step");
-  const Tensor& xv = st.x->value;
-  const Tensor& hv = st.h_prev->value;
-  const Tensor& gz = st.z->grad;
-  const int64_t four_h = gz.cols();
-  Tensor gwi = Tensor::Uninit(xv.cols(), four_h);
-  kernels::GemmTN(xv.cols(), four_h, k, xv.Row(row_off), gz.Row(row_off),
-                  gwi.data(), /*accumulate=*/false);
-  cell.w_ih().AccumulateGrad(gwi);
-  Tensor gwh = Tensor::Uninit(hv.cols(), four_h);
-  kernels::GemmTN(hv.cols(), four_h, k, hv.Row(row_off), gz.Row(row_off),
-                  gwh.data(), /*accumulate=*/false);
-  cell.w_hh().AccumulateGrad(gwh);
-  Tensor gb(four_h);
-  for (int64_t r = 0; r < k; ++r) {
-    kernels::Axpy(four_h, 1.0f, gz.Row(row_off + r), gb.data());
+  const float* gz = st.z->grad.Row(row_off);
+  out->w_ih.push_back({st.x->value.Row(row_off), gz, k});
+  out->w_hh.push_back({st.h_prev->value.Row(row_off), gz, k});
+  out->bias.push_back({ones, gz, k});
+}
+
+// Folds one weight's segments into its gradient with one kernel call. An
+// undefined gradient takes the first segment as a store, exactly as
+// Var::AccumulateGrad copies its first contribution.
+void AccumulateSegments(const Var& param, const Segments& segs) {
+  if (segs.empty()) return;
+  internal::VarImpl* p = param.impl();
+  const Tensor& v = p->value;
+  const bool matrix = v.rank() == 2;
+  const int64_t m = matrix ? v.rows() : 1;
+  const int64_t n = matrix ? v.cols() : v.numel();
+  const bool accumulate = p->grad_defined;
+  if (!accumulate) {
+    p->grad = matrix ? Tensor::Uninit(m, n) : Tensor::Uninit(n);
+    p->grad_defined = true;
   }
-  cell.bias().AccumulateGrad(gb);
+  kernels::GemmTNSegments(m, n, segs.data(),
+                          static_cast<int64_t>(segs.size()), p->grad.data(),
+                          accumulate);
+}
+
+void AccumulateCellSegments(const StackedLstm& lstm,
+                            const std::vector<CellSegments>& segs) {
+  for (size_t l = 0; l < segs.size(); ++l) {
+    const LstmCell& cell = lstm.cell(static_cast<int>(l));
+    AccumulateSegments(cell.w_ih(), segs[l].w_ih);
+    AccumulateSegments(cell.w_hh(), segs[l].w_hh);
+    AccumulateSegments(cell.bias(), segs[l].bias);
+  }
 }
 
 }  // namespace
@@ -414,7 +440,8 @@ void EhnaAggregator::PlanAggregation(NodeId target, Timestamp ref_time,
 }
 
 std::vector<Var> EhnaAggregator::AggregateBatch(
-    const std::vector<AggregationPlan>& plans, bool training) {
+    const std::vector<AggregationPlan>& plans, bool training,
+    PackedBatchTrace* trace) {
   EHNA_CHECK(!plans.empty());
   const int64_t dim = config_.dim;
   const size_t P = plans.size();
@@ -645,6 +672,7 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
 
   // ---- Fuse + L2-normalize per plan (plan order). ----
   std::vector<Var> outputs(P);
+  if (trace != nullptr) *trace = {node_trace, walk_trace, {}};
   for (size_t p = 0; p < P; ++p) {
     AggReplay& rep = (*replays)[p];
     Var concat = ag::ConcatDeferredB(H[p], ex_leaves[p].value(), rep.concat_b,
@@ -654,6 +682,10 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
     rep.cmat = cmat.impl();
     rep.mm = mm.impl();
     outputs[p] = ag::L2Normalize(ag::AsVector(mm));
+    if (trace != nullptr) {
+      trace->plans.push_back({rep.fallback, rep.single_layer, rep.row_off,
+                              rep.k, rep.T, rep.walk_pos, cmat, mm});
+    }
   }
 
   // Forward-only (NoTapeScope): nothing will run backward, so there is
@@ -673,8 +705,13 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
       Tensor(1), {},
       [self, replays, node_raw, walk_raw, sink](const Tensor&,
                                                 const Tensor&) {
-        const int num_node_layers = self->node_lstm_.num_layers();
-        const int num_walk_layers = self->walk_lstm_.num_layers();
+        EHNA_TRACE_PHASE("train.phase.grad_replay");
+        std::vector<CellSegments> node_segs(self->node_lstm_.num_layers());
+        std::vector<CellSegments> walk_segs(self->walk_lstm_.num_layers());
+        Segments fuse_segs;
+        int64_t max_k = 1;
+        for (const AggReplay& rep : *replays) max_k = std::max(max_k, rep.k);
+        const std::vector<float> ones(static_cast<size_t>(max_k), 1.0f);
         for (size_t pi = replays->size(); pi-- > 0;) {
           const AggReplay& rep = (*replays)[pi];
           // Every path out of an aggregation runs through its fuse matmul,
@@ -683,21 +720,20 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
           // pack would never have replayed it either.
           if (rep.mm == nullptr || !rep.mm->grad_defined) continue;
           if (!rep.fallback) {
-            // (a) Node-level LSTM weight units: layer-descending, then
-            // step-descending, mirroring reverse execution order of the
-            // forward tape.
-            for (int l = num_node_layers - 1; l >= 0; --l) {
+            // (a) Node-level LSTM weight units, step-descending per layer,
+            // mirroring reverse execution order of the forward tape.
+            for (size_t l = 0; l < node_segs.size(); ++l) {
               for (int64_t t = static_cast<int64_t>(rep.T) - 1; t >= 0; --t) {
-                ReplayLstmUnit(node_raw[t][l], rep.row_off, rep.k,
-                               self->node_lstm_.cell(l));
+                AddLstmUnit(node_raw[t][l], rep.row_off, rep.k, ones.data(),
+                            &node_segs[l]);
               }
             }
             // (b) Walk-level LSTM weight units (not in EHNA-SL).
             if (!rep.single_layer) {
-              for (int l = num_walk_layers - 1; l >= 0; --l) {
+              for (size_t l = 0; l < walk_segs.size(); ++l) {
                 for (int64_t i = rep.k - 1; i >= 0; --i) {
-                  ReplayLstmUnit(walk_raw[i][l], rep.walk_pos, 1,
-                                 self->walk_lstm_.cell(l));
+                  AddLstmUnit(walk_raw[i][l], rep.walk_pos, 1, ones.data(),
+                              &walk_segs[l]);
                 }
               }
             }
@@ -709,12 +745,8 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
               self->walk_bn_.beta().AccumulateGrad(*rep.walk_db);
             }
           }
-          // (d) Fuse projection weight: gW = cmat^T @ g_mm.
-          {
-            EHNA_TRACE_PHASE("kernels.phase.gemm");
-            self->fuse_.weight().AccumulateGrad(
-                MatMulTransposeA(rep.cmat->value, rep.mm->grad));
-          }
+          // (d) Fuse projection weight unit: gW = cmat^T @ g_mm.
+          fuse_segs.push_back({rep.cmat->value.data(), rep.mm->grad.data(), 1});
           // (e) Sparse embedding scatter, exactly as the Gather hooks
           // would, in walk-ascending order.
           if (rep.flat_leaf != nullptr && rep.flat_leaf->grad_defined) {
@@ -735,6 +767,12 @@ std::vector<Var> EhnaAggregator::AggregateBatch(
           for (const auto& gt : rep.node_gtargets) gex.AddInPlace(*gt);
           self->embedding_->ScatterRowGrad(rep.target, gex, sink);
         }
+        // (g) One segmented accumulation per weight, each over its units in
+        // reverse-plan order. Distinct weights share no storage, so the
+        // order across them is free.
+        AccumulateCellSegments(self->node_lstm_, node_segs);
+        AccumulateCellSegments(self->walk_lstm_, walk_segs);
+        AccumulateSegments(self->fuse_.weight(), fuse_segs);
       },
       "agg_replay");
   sentinel.impl()->grad = Tensor(1);

@@ -30,6 +30,23 @@ struct AggregationPlan {
   std::vector<NodeId> fallback_ids;
 };
 
+/// The packed LSTM tapes of one training AggregateBatch call and where each
+/// plan sits in them (DESIGN.md §10). Filled only on request, so a test can
+/// replay the deferred weight gradients unit by unit against the sentinel.
+struct PackedBatchTrace {
+  struct Plan {
+    bool fallback = false;      // no LSTM rows: GraphSAGE-style summary.
+    bool single_layer = false;  // EHNA-SL: no walk-level pass.
+    int64_t row_off = 0;        // node-level rows [row_off, row_off + k)
+    int64_t k = 0;
+    size_t T = 0;               // node-level steps
+    int64_t walk_pos = 0;       // the plan's walk-level row
+    Var cmat, mm;               // fuse projection: mm = cmat @ W
+  };
+  PackedLstmTrace node, walk;
+  std::vector<Plan> plans;  // plan order
+};
+
 /// The historical-neighborhood aggregation network of Algorithm 1: samples
 /// temporal random walks from a target node, applies node-level attention
 /// (Eq. 3) + a stacked LSTM + BatchNorm + ReLU per walk, walk-level
@@ -68,9 +85,10 @@ class EhnaAggregator {
   /// per call or a whole batch/shard per call. Returns one rank-1 [dim] Var
   /// per plan, in plan order. See DESIGN.md §10. Under a NoTapeScope (the
   /// inference path, DESIGN.md §13) the values are the same and no replay
-  /// sentinel is built.
+  /// sentinel is built. A non-null `trace` receives the packed tapes.
   std::vector<Var> AggregateBatch(const std::vector<AggregationPlan>& plans,
-                                  bool training);
+                                  bool training,
+                                  PackedBatchTrace* trace = nullptr);
 
   /// All trainable dense parameters (LSTMs, BatchNorms, output projection).
   /// The embedding table updates sparsely through its own optimizer.

@@ -29,6 +29,8 @@ namespace ehna::kernels {
 
 enum class KernelIsa { kScalar = 0, kAvx2 = 1 };
 
+struct GemmTNSegment;  // nn/kernels.h
+
 const char* KernelIsaName(KernelIsa isa);
 
 /// Per-kernel function pointers for the dispatched hot set. Signatures
@@ -41,6 +43,8 @@ struct KernelTable {
                   const float* b, float* c, bool accumulate);
   void (*gemm_tn)(int64_t m, int64_t n, int64_t k, const float* a,
                   const float* b, float* c, bool accumulate);
+  void (*gemm_tn_segments)(int64_t m, int64_t n, const GemmTNSegment* segs,
+                           int64_t num_segs, float* c, bool accumulate);
   void (*gemv)(int64_t m, int64_t n, const float* a, const float* x, float* y,
                bool accumulate);
   void (*gemv_t)(int64_t m, int64_t n, const float* a, const float* x,

@@ -70,6 +70,14 @@ void GemmTN(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
   ActiveKernels().gemm_tn(m, n, k, a, b, c, accumulate);
 }
 
+void GemmTNSegments(int64_t m, int64_t n, const GemmTNSegment* segs,
+                    int64_t num_segs, float* c, bool accumulate) {
+  int64_t rows = 0;
+  for (int64_t s = 0; s < num_segs; ++s) rows += segs[s].k;
+  CountGemm(m, n, rows);
+  ActiveKernels().gemm_tn_segments(m, n, segs, num_segs, c, accumulate);
+}
+
 void Gemv(int64_t m, int64_t n, const float* a, const float* x, float* y,
           bool accumulate) {
   GemvCalls()->Add(1);

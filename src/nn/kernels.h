@@ -24,7 +24,8 @@ namespace ehna::kernels {
 //    strictly-increasing tail; or
 //  - kernels that stream rank-1 updates into an output row (GemmNN,
 //    GemmTN, GemvT) add contributions in strictly increasing k per output
-//    element.
+//    element; GemmTNSegments runs one such chain per segment and adds the
+//    segments' results in list order.
 // Given identical inputs the outputs are bitwise identical run-to-run,
 // across thread counts, and across batch shards.
 //
@@ -55,6 +56,23 @@ void GemmNT(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
 /// c[m,n] (+)= a[k,m]^T @ b[k,n].
 void GemmTN(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
             float* c, bool accumulate);
+
+/// One row block of GemmTNSegments: a[k,m] and b[k,n], row-major.
+struct GemmTNSegment {
+  const float* a;
+  const float* b;
+  int64_t k;
+};
+
+/// c[m,n] (+)= Σ_s a_s^T @ b_s, folded one segment at a time in list
+/// order. Per output element, segment s contributes u_s — one fma chain
+/// over its rows in ascending order, starting from +0 — via c = c + u_s;
+/// with `accumulate` false the first segment is stored (c = u_0) instead.
+/// Bitwise equal to, per segment, GemmTN(accumulate=false) into a fresh
+/// tensor followed by an elementwise Add into c (or a copy, for the first
+/// segment when not accumulating). No segments and no `accumulate` zeroes c.
+void GemmTNSegments(int64_t m, int64_t n, const GemmTNSegment* segs,
+                    int64_t num_segs, float* c, bool accumulate);
 
 /// y[m] (+)= a[m,n] @ x[n].
 void Gemv(int64_t m, int64_t n, const float* a, const float* x, float* y,

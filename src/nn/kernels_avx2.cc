@@ -211,6 +211,126 @@ inline void GemmRank1(int64_t m, int64_t n, int64_t k, const float* a,
   }
 }
 
+// ------------------------------------------------- segmented GemmTN tiles
+//
+// Each segment gets a fresh R×(8V) u tile from +0, runs its fma chain over
+// the segment's rows in ascending order, and is then added into the C tile
+// (or stored, for a non-accumulating first segment) — the scalar
+// reference's per-element sequence; the tiling only picks which elements
+// advance together. Two shapes share the code:
+//  - kHoldC: C also stays in registers across the block's segments, which
+//    suits one-row segments (one fma per u register, then the add). R·V·2
+//    accumulators + V B rows + one broadcast fit the 16 ymm registers for
+//    (R, V) = (3, 2) and (6, 1).
+//  - otherwise C round-trips through L1 once per segment, which frees the
+//    registers for a 6×16 u tile: 12 independent fma chains cover the fma
+//    latency on multi-row segments.
+
+/// Segments are folded in blocks of about this many bytes of A and B rows,
+/// so a block stays cache-resident while every C tile sweeps it.
+constexpr int64_t kSegmentBlockBytes = 32 << 10;
+
+template <int R, int V, bool kHoldC>
+inline void SegmentTile(int64_t m, int64_t n, int64_t i0, int64_t j0,
+                        const GemmTNSegment* segs, int64_t num_segs,
+                        bool store_first, float* c) {
+  float* ct = c + i0 * n + j0;
+  [[maybe_unused]] __m256 acc[kHoldC ? R : 1][V];  // kHoldC only
+  if constexpr (kHoldC) {
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = store_first ? _mm256_setzero_ps()
+                                : _mm256_loadu_ps(ct + r * n + 8 * v);
+      }
+    }
+  }
+  for (int64_t s = 0; s < num_segs; ++s) {
+    __m256 u[R][V];
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < V; ++v) u[r][v] = _mm256_setzero_ps();
+    }
+    const float* a = segs[s].a + i0;
+    const float* b = segs[s].b + j0;
+    for (int64_t kk = 0; kk < segs[s].k; ++kk, a += m, b += n) {
+      __m256 bv[V];
+      for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_ps(b + 8 * v);
+      for (int r = 0; r < R; ++r) {
+        const __m256 av = _mm256_broadcast_ss(a + r);
+        for (int v = 0; v < V; ++v) {
+          u[r][v] = _mm256_fmadd_ps(av, bv[v], u[r][v]);
+        }
+      }
+    }
+    const bool store = store_first && s == 0;
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < V; ++v) {
+        if constexpr (kHoldC) {
+          acc[r][v] = store ? u[r][v] : _mm256_add_ps(acc[r][v], u[r][v]);
+        } else {
+          float* cp = ct + r * n + 8 * v;
+          const __m256 sum =
+              store ? u[r][v] : _mm256_add_ps(_mm256_loadu_ps(cp), u[r][v]);
+          _mm256_storeu_ps(cp, sum);
+        }
+      }
+    }
+  }
+  if constexpr (kHoldC) {
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < V; ++v) {
+        _mm256_storeu_ps(ct + r * n + 8 * v, acc[r][v]);
+      }
+    }
+  }
+}
+
+/// Rows [i0, i0 + rows) with rows <= R, as one tile of exactly `rows` rows.
+template <int R, int V, bool kHoldC>
+inline void SegmentRowTail(int64_t rows, int64_t m, int64_t n, int64_t i0,
+                           int64_t j0, const GemmTNSegment* segs,
+                           int64_t num_segs, bool store_first, float* c) {
+  if (rows == R) {
+    SegmentTile<R, V, kHoldC>(m, n, i0, j0, segs, num_segs, store_first, c);
+  } else if constexpr (R > 1) {
+    SegmentRowTail<R - 1, V, kHoldC>(rows, m, n, i0, j0, segs, num_segs,
+                                     store_first, c);
+  }
+}
+
+/// One 8V-column panel: R-row tiles, then the row remainder.
+template <int R, int V, bool kHoldC>
+inline void SegmentPanel(int64_t m, int64_t n, int64_t j0,
+                         const GemmTNSegment* segs, int64_t num_segs,
+                         bool store_first, float* c) {
+  int64_t i = 0;
+  for (; i + R <= m; i += R) {
+    SegmentTile<R, V, kHoldC>(m, n, i, j0, segs, num_segs, store_first, c);
+  }
+  if (i < m) {
+    SegmentRowTail<R - 1, V, kHoldC>(m - i, m, n, i, j0, segs, num_segs,
+                                     store_first, c);
+  }
+}
+
+/// Columns [j0, n): the scalar reference's per-element sequence.
+inline void SegmentColsTail(int64_t m, int64_t n, int64_t j0,
+                            const GemmTNSegment* segs, int64_t num_segs,
+                            bool store_first, float* c) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = j0; j < n; ++j) {
+      float ci = store_first ? 0.0f : c[i * n + j];
+      for (int64_t s = 0; s < num_segs; ++s) {
+        float u = 0.0f;
+        for (int64_t kk = 0; kk < segs[s].k; ++kk) {
+          u = std::fmaf(segs[s].a[kk * m + i], segs[s].b[kk * n + j], u);
+        }
+        ci = (store_first && s == 0) ? u : ci + u;
+      }
+      c[i * n + j] = ci;
+    }
+  }
+}
+
 // --------------------------------------------- pinned vector exp/sigmoid/tanh
 //
 // Lane-for-lane mirror of detail::ExpPinned / SigmoidPinned / TanhPinned.
@@ -333,6 +453,41 @@ void GemmTN(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
             float* c, bool accumulate) {
   GemmRank1(m, n, k, a, /*a_row_stride=*/1, /*a_k_stride=*/m, b, c,
             accumulate);
+}
+
+void GemmTNSegments(int64_t m, int64_t n, const GemmTNSegment* segs,
+                    int64_t num_segs, float* c, bool accumulate) {
+  if (num_segs == 0) {
+    if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * 4);
+    return;
+  }
+  const int64_t row_bytes = (m + n) * 4;
+  for (int64_t s0 = 0; s0 < num_segs;) {
+    int64_t s1 = s0 + 1;
+    int64_t rows = segs[s0].k;
+    while (s1 < num_segs &&
+           (rows + segs[s1].k) * row_bytes <= kSegmentBlockBytes) {
+      rows += segs[s1++].k;
+    }
+    const GemmTNSegment* block = segs + s0;
+    const int64_t nb = s1 - s0;
+    const bool store_first = !accumulate && s0 == 0;
+    const bool one_row_segments = rows < 2 * nb;
+    int64_t jc = 0;
+    for (; jc + 16 <= n; jc += 16) {
+      if (one_row_segments) {
+        SegmentPanel<3, 2, true>(m, n, jc, block, nb, store_first, c);
+      } else {
+        SegmentPanel<6, 2, false>(m, n, jc, block, nb, store_first, c);
+      }
+    }
+    if (n - jc >= 8) {
+      SegmentPanel<6, 1, true>(m, n, jc, block, nb, store_first, c);
+      jc += 8;
+    }
+    if (jc < n) SegmentColsTail(m, n, jc, block, nb, store_first, c);
+    s0 = s1;
+  }
 }
 
 void GemmNT(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
@@ -664,6 +819,7 @@ const KernelTable* Avx2KernelsOrNull() {
       avx2::GemmNN,
       avx2::GemmNT,
       avx2::GemmTN,
+      avx2::GemmTNSegments,
       avx2::Gemv,
       avx2::GemvT,
       avx2::Dot,

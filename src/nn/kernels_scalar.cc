@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "nn/cpu_dispatch.h"
 #include "nn/kernels.h"
@@ -109,6 +110,27 @@ void GemmTN(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
   }
 }
 
+void GemmTNSegments(int64_t m, int64_t n, const GemmTNSegment* segs,
+                    int64_t num_segs, float* c, bool accumulate) {
+  const size_t size = static_cast<size_t>(m * n);
+  if (num_segs == 0) {
+    if (!accumulate) std::memset(c, 0, size * 4);
+    return;
+  }
+  // The definition, literally: each segment's GemmTN from +0 into u, then
+  // c = c + u (or c = u for a non-accumulating first segment).
+  std::vector<float> u(size);
+  for (int64_t s = 0; s < num_segs; ++s) {
+    GemmTN(m, n, segs[s].k, segs[s].a, segs[s].b, u.data(),
+           /*accumulate=*/false);
+    if (s == 0 && !accumulate) {
+      std::memcpy(c, u.data(), size * 4);
+    } else {
+      for (size_t e = 0; e < size; ++e) c[e] = c[e] + u[e];
+    }
+  }
+}
+
 void Gemv(int64_t m, int64_t n, const float* a, const float* x, float* y,
           bool accumulate) {
   for (int64_t i = 0; i < m; ++i) {
@@ -207,6 +229,7 @@ const KernelTable& ScalarKernels() {
       scalar::GemmNN,
       scalar::GemmNT,
       scalar::GemmTN,
+      scalar::GemmTNSegments,
       scalar::Gemv,
       scalar::GemvT,
       scalar::Dot,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
@@ -104,6 +105,13 @@ void EmbeddingServer::MarkAffected(NodeId node) {
 }
 
 Status EmbeddingServer::Ingest(const TemporalEdge& edge) {
+  EHNA_RETURN_NOT_OK(TemporalGraph::ValidateEdge(edge));
+  if (std::max(edge.src, edge.dst) >= options_.max_nodes) {
+    return Status::ResourceExhausted(
+        "edge (" + std::to_string(edge.src) + ", " + std::to_string(edge.dst) +
+        ") exceeds ServeOptions::max_nodes = " +
+        std::to_string(options_.max_nodes));
+  }
   std::unique_lock lock(mu_);
   Status st = overlay_->Ingest(edge);
   if (!st.ok()) return st;

@@ -41,6 +41,11 @@ struct ServeOptions {
   ServePrecision precision = ServePrecision::kFp32;
   /// Quantized-path re-rank depth multiplier (survivors = rerank_factor*k).
   size_t rerank_factor = 4;
+  /// Node-id ceiling for ingested edges: an edge naming a node id at or
+  /// above it is refused with ResourceExhausted, because accepting it would
+  /// grow the overlay caches, the embedding table and the serving matrix to
+  /// that many rows. The default (2^26) is far above any served graph here.
+  NodeId max_nodes = NodeId{1} << 26;
 };
 
 /// The production half of the system (ROADMAP item 1): a long-lived façade

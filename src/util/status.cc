@@ -20,6 +20,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "Internal";
     case StatusCode::kUnimplemented:
       return "Unimplemented";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
   }
   return "Unknown";
 }

@@ -20,6 +20,7 @@ enum class StatusCode {
   kFailedPrecondition,
   kInternal,
   kUnimplemented,
+  kResourceExhausted,
 };
 
 /// Returns a human-readable name for `code` (e.g. "InvalidArgument").
@@ -57,6 +58,9 @@ class Status {
   }
   static Status Unimplemented(std::string msg) {
     return Status(StatusCode::kUnimplemented, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

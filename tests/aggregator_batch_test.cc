@@ -11,6 +11,10 @@
 //     (one pack per edge), serial and 4-threaded, metrics on and off.
 //  3. Gradient reach: one Backward through a packed batch populates every
 //     parameter group and the sparse embedding accumulator.
+//  4. Segmented replay: the LSTM and fuse weight gradients the sentinel
+//     folds with one GemmTNSegments call per weight equal the per-unit
+//     replay it replaced (GemmTN into a fresh tensor + AccumulateGrad per
+//     (plan, layer, step)), which lives on below as the oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,6 +27,7 @@
 #include "core/aggregator.h"
 #include "core/model.h"
 #include "graph/generators/generators.h"
+#include "nn/kernels.h"
 #include "nn/ops.h"
 #include "util/metrics.h"
 
@@ -170,6 +175,224 @@ TEST(AggregatorBatchTest, GradientsReachAllParameterGroups) {
   emb.ClearGradients();
 }
 
+// ------------------------------------------------ per-unit replay oracle
+
+/// The dense weights whose gradients the sentinel replays, in a fixed
+/// order: per LSTM cell w_ih, w_hh, bias (node level, then walk level),
+/// then the fuse projection.
+std::vector<Var> ReplayedWeights(const EhnaAggregator& agg) {
+  const std::vector<Var> params = agg.Parameters();
+  // Parameters(): node LSTM, node BN (gamma, beta), walk LSTM, walk BN,
+  // fuse — every LSTM cell contributes {w_ih, w_hh, bias}.
+  std::vector<Var> weights;
+  for (const Var& p : params) {
+    const bool is_bn = p.value().rank() == 1 &&
+                       p.value().numel() == agg.config().dim;
+    if (!is_bn) weights.push_back(p);
+  }
+  return weights;
+}
+
+/// The sentinel's former per-unit LSTM replay: GemmTN over the
+/// aggregation's row slice into a fresh tensor, accumulated unit by unit.
+void ReplayLstmUnit(const PackedLstmStep& st, int64_t row_off, int64_t k,
+                    const Var& w_ih, const Var& w_hh, const Var& bias) {
+  if (!st.z.impl()->grad_defined) return;
+  const Tensor& xv = st.x.value();
+  const Tensor& hv = st.h_prev.value();
+  const Tensor& gz = st.z.grad();
+  const int64_t four_h = gz.cols();
+  Tensor gwi(xv.cols(), four_h);
+  kernels::GemmTN(xv.cols(), four_h, k, xv.Row(row_off), gz.Row(row_off),
+                  gwi.data(), /*accumulate=*/false);
+  w_ih.AccumulateGrad(gwi);
+  Tensor gwh(hv.cols(), four_h);
+  kernels::GemmTN(hv.cols(), four_h, k, hv.Row(row_off), gz.Row(row_off),
+                  gwh.data(), /*accumulate=*/false);
+  w_hh.AccumulateGrad(gwh);
+  Tensor gb(four_h);
+  for (int64_t r = 0; r < k; ++r) {
+    kernels::Axpy(four_h, 1.0f, gz.Row(row_off + r), gb.data());
+  }
+  bias.AccumulateGrad(gb);
+}
+
+/// Replays one AggregateBatch call's weight units into `oracle` (positional
+/// mirrors of ReplayedWeights) in the former sentinel's order: plans
+/// descending; per plan node-level layers and steps descending, walk-level
+/// likewise, then the fuse weight. Both LSTMs have `layers` cells.
+void ReplayPerUnit(const PackedBatchTrace& trace, int layers,
+                   const std::vector<Var>& oracle) {
+  // Oracle layout: node cells, walk cells, fuse (3 per cell, then 1).
+  auto cell = [&](int first, int l) { return first + 3 * l; };
+  const int walk_first = 3 * layers;
+  const Var& fuse = oracle[static_cast<size_t>(2 * walk_first)];
+  for (size_t pi = trace.plans.size(); pi-- > 0;) {
+    const PackedBatchTrace::Plan& plan = trace.plans[pi];
+    if (!plan.mm.impl()->grad_defined) continue;
+    if (!plan.fallback) {
+      for (int l = layers - 1; l >= 0; --l) {
+        const size_t c = static_cast<size_t>(cell(0, l));
+        for (int64_t t = static_cast<int64_t>(plan.T) - 1; t >= 0; --t) {
+          ReplayLstmUnit(trace.node.steps[t][l], plan.row_off, plan.k,
+                         oracle[c], oracle[c + 1], oracle[c + 2]);
+        }
+      }
+      if (!plan.single_layer) {
+        for (int l = layers - 1; l >= 0; --l) {
+          const size_t c = static_cast<size_t>(cell(walk_first, l));
+          for (int64_t i = plan.k - 1; i >= 0; --i) {
+            ReplayLstmUnit(trace.walk.steps[i][l], plan.walk_pos, 1,
+                           oracle[c], oracle[c + 1], oracle[c + 2]);
+          }
+        }
+      }
+    }
+    fuse.AccumulateGrad(MatMulTransposeA(plan.cmat.value(), plan.mm.grad()));
+  }
+}
+
+/// Fresh leaves mirroring `weights`, each holding the weight's current
+/// gradient (if any) so the oracle accumulates from the same start.
+std::vector<Var> OracleFrom(const std::vector<Var>& weights) {
+  std::vector<Var> oracle;
+  for (const Var& w : weights) {
+    Var o = Var::Leaf(w.value(), /*requires_grad=*/true);
+    if (w.impl()->grad_defined) o.AccumulateGrad(w.grad());
+    oracle.push_back(o);
+  }
+  return oracle;
+}
+
+void ExpectSameWeightGrads(const std::vector<Var>& want,
+                           const std::vector<Var>& got,
+                           const std::string& what) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].impl()->grad_defined, got[i].impl()->grad_defined)
+        << what << " weight " << i;
+    if (!want[i].impl()->grad_defined) continue;
+    ExpectBitwiseEqual(want[i].grad(), got[i].grad(),
+                       what + " weight " + std::to_string(i));
+  }
+}
+
+/// One packed Backward in mode B (every plan in one AggregateBatch) and in
+/// mode A (one AggregateBatch per edge of `per_edge` plans, one Backward
+/// over all of them), each checked against the per-unit oracle and
+/// against each other. Two rounds without clearing gradients cover both
+/// the first-write store and the accumulate path.
+void ExpectSegmentedReplayMatchesPerUnit(const EhnaConfig& cfg) {
+  TemporalGraph g = SmallGraph();
+  const std::vector<NodeId> targets = {0, 5, 3, 17, 1, 9};
+  const std::vector<Timestamp> times = {
+      g.max_time() + 1.0, g.max_time() + 1.0, g.min_time() - 1.0,
+      g.max_time() + 1.0, g.max_time() + 1.0, g.max_time() + 1.0};
+  const size_t per_edge = 2;
+  const std::string name = EhnaVariantName(cfg.variant) +
+                           std::string(" dim ") + std::to_string(cfg.dim);
+
+  Rng rng_a(7), rng_b(7);
+  Embedding emb_a(g.num_nodes(), cfg.dim, &rng_a);
+  Embedding emb_b(g.num_nodes(), cfg.dim, &rng_b);
+  EhnaAggregator agg_a(&g, &emb_a, cfg, &rng_a);
+  EhnaAggregator agg_b(&g, &emb_b, cfg, &rng_b);
+  const std::vector<Var> weights_a = ReplayedWeights(agg_a);
+  const std::vector<Var> weights_b = ReplayedWeights(agg_b);
+  const int layers =
+      cfg.variant == EhnaVariant::kSingleLayer ? 1 : cfg.lstm_layers;
+  ASSERT_EQ(weights_b.size(), static_cast<size_t>(6 * layers + 1));
+
+  for (int round = 0; round < 2; ++round) {
+    const std::string what = name + " round " + std::to_string(round);
+    std::vector<AggregationPlan> plans_a(targets.size());
+    std::vector<AggregationPlan> plans_b(targets.size());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      agg_a.PlanAggregation(targets[i], times[i], &rng_a, &plans_a[i]);
+      agg_b.PlanAggregation(targets[i], times[i], &rng_b, &plans_b[i]);
+    }
+
+    // Mode B: one pack.
+    const std::vector<Var> oracle_b = OracleFrom(weights_b);
+    PackedBatchTrace trace_b;
+    std::vector<Var> terms_b;
+    for (const Var& z : agg_b.AggregateBatch(plans_b, true, &trace_b)) {
+      terms_b.push_back(ag::SumSquares(z));
+    }
+    Backward(ag::SumN(terms_b));
+    ReplayPerUnit(trace_b, layers, oracle_b);
+    ExpectSameWeightGrads(oracle_b, weights_b, what + " mode B");
+
+    // Mode A: one pack per edge; the per-call sentinels run in reverse
+    // call order.
+    const std::vector<Var> oracle_a = OracleFrom(weights_a);
+    std::vector<PackedBatchTrace> traces_a;
+    std::vector<Var> terms_a;
+    for (size_t e = 0; e < plans_a.size(); e += per_edge) {
+      const std::vector<AggregationPlan> edge(
+          plans_a.begin() + static_cast<std::ptrdiff_t>(e),
+          plans_a.begin() + static_cast<std::ptrdiff_t>(e + per_edge));
+      traces_a.emplace_back();
+      for (const Var& z : agg_a.AggregateBatch(edge, true, &traces_a.back())) {
+        terms_a.push_back(ag::SumSquares(z));
+      }
+    }
+    Backward(ag::SumN(terms_a));
+    for (size_t c = traces_a.size(); c-- > 0;) {
+      ReplayPerUnit(traces_a[c], layers, oracle_a);
+    }
+    ExpectSameWeightGrads(oracle_a, weights_a, what + " mode A");
+    ExpectSameWeightGrads(weights_b, weights_a, what + " mode A vs B");
+  }
+  emb_a.ClearGradients();
+  emb_b.ClearGradients();
+}
+
+TEST(AggregatorBatchTest, SegmentedWeightReplayMatchesPerUnitAllVariants) {
+  // dim 12 (m = 12, 4H = 48, fuse 24×12) and dim 9 (4H = 36, odd row and
+  // column remainders in every segmented tile).
+  for (const int64_t dim : {12, 9}) {
+    for (EhnaVariant variant :
+         {EhnaVariant::kFull, EhnaVariant::kNoAttention,
+          EhnaVariant::kStaticWalk, EhnaVariant::kSingleLayer}) {
+      EhnaConfig cfg = SmallConfig();
+      cfg.dim = dim;
+      cfg.num_walks = 4;
+      cfg.walk_length = 5;
+      cfg.variant = variant;
+      ExpectSegmentedReplayMatchesPerUnit(cfg);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(AggregatorBatchTest, ReplaySentinelIsTracedAsGradReplayPhase) {
+  // The replay runs once per AggregateBatch call and records its own
+  // phase, so its share of forward+backward is visible in the registry.
+  TemporalGraph g = SmallGraph();
+  Rng rng(4);
+  EhnaConfig cfg = SmallConfig();
+  Embedding emb(g.num_nodes(), cfg.dim, &rng);
+  EhnaAggregator agg(&g, &emb, cfg, &rng);
+  std::vector<AggregationPlan> plans(2);
+  agg.PlanAggregation(1, g.max_time() + 1.0, &rng, &plans[0]);
+  agg.PlanAggregation(2, g.max_time() + 1.0, &rng, &plans[1]);
+  const bool metrics_before = MetricsEnabled();
+  MetricsRegistry::SetEnabled(true);
+  MetricsRegistry::Global().Reset();
+  std::vector<Var> terms;
+  for (const Var& z : agg.AggregateBatch(plans, /*training=*/true)) {
+    terms.push_back(ag::SumSquares(z));
+  }
+  Backward(ag::SumN(terms));
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  MetricsRegistry::SetEnabled(metrics_before);
+  const HistogramData* h = snap.Histogram("train.phase.grad_replay");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 1u);
+  emb.ClearGradients();
+}
+
 // ---------------------------------------------------- training equivalence
 
 TemporalGraph TinyGraph() {
@@ -264,6 +487,24 @@ TEST(AggregatorBatchTest, TrainingModesBitwiseIdenticalAcrossVariants) {
                                 /*metrics_enabled=*/true,
                                 std::string("ehna_aggbatch_") +
                                     EhnaVariantName(variant));
+  }
+}
+
+TEST(AggregatorBatchTest, TrainingModesBitwiseIdenticalDim12AllVariants) {
+  // The segmented replay at a width whose tiles have remainders, 1T and 4T.
+  for (EhnaVariant variant :
+       {EhnaVariant::kFull, EhnaVariant::kNoAttention,
+        EhnaVariant::kStaticWalk, EhnaVariant::kSingleLayer}) {
+    for (const int threads : {1, 4}) {
+      EhnaConfig cfg = TinyTrainConfig();
+      cfg.dim = 12;
+      cfg.variant = variant;
+      cfg.epochs = 1;
+      ExpectModesBitwiseIdentical(cfg, threads, /*metrics_enabled=*/true,
+                                  std::string("ehna_aggbatch_dim12_") +
+                                      EhnaVariantName(variant) + "_" +
+                                      std::to_string(threads) + "t");
+    }
   }
 }
 

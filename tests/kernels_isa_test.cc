@@ -93,6 +93,125 @@ TEST(PinnedTranscendentals, CloseToLibmAndSymmetric) {
   EXPECT_EQ(detail::TanhPinned(-90.0f), -1.0f);
 }
 
+// ------------------------------------------------- segmented GemmTN oracle
+//
+// GemmTNSegments must equal its definition: per segment, GemmTN from +0
+// into a fresh tensor, then an elementwise Add into C — or a copy, for the
+// first segment of a non-accumulating call, as Var::AccumulateGrad copies
+// its first contribution. The oracle below is that per-unit sequence.
+
+// Per-segment A/B operands, contiguous per segment.
+struct SegmentData {
+  std::vector<std::vector<float>> a, b;
+  std::vector<GemmTNSegment> segs;
+};
+
+/// Random operands for segments of `rows[s]` rows each, in list order.
+SegmentData MakeSegments(int64_t m, int64_t n,
+                         const std::vector<int64_t>& rows, Rng* rng) {
+  SegmentData d;
+  for (const int64_t k : rows) {
+    std::vector<float> a(static_cast<size_t>(k * m));
+    std::vector<float> b(static_cast<size_t>(k * n));
+    for (auto& x : a) x = static_cast<float>(rng->Uniform(-2.0, 2.0));
+    for (auto& x : b) x = static_cast<float>(rng->Uniform(-2.0, 2.0));
+    d.a.push_back(std::move(a));
+    d.b.push_back(std::move(b));
+  }
+  for (size_t s = 0; s < rows.size(); ++s) {
+    d.segs.push_back({d.a[s].data(), d.b[s].data(), rows[s]});
+  }
+  return d;
+}
+
+std::vector<float> PerUnitOracle(int64_t m, int64_t n, const SegmentData& d,
+                                 std::vector<float> c, bool accumulate) {
+  std::vector<float> u(static_cast<size_t>(m * n));
+  for (size_t s = 0; s < d.segs.size(); ++s) {
+    ScalarKernels().gemm_tn(m, n, d.segs[s].k, d.segs[s].a, d.segs[s].b,
+                            u.data(), /*accumulate=*/false);
+    if (s == 0 && !accumulate) {
+      c = u;
+    } else {
+      Add(m * n, c.data(), u.data(), c.data());
+    }
+  }
+  return c;
+}
+
+// 10-row (node-level) and 1-row (walk-level, fuse) segments, a mix, and a
+// list long enough to span several of the AVX2 kernel's segment blocks.
+std::vector<std::vector<int64_t>> SegmentRowPatterns() {
+  return {{10}, {1, 1, 1}, {10, 1, 10, 1, 10}, std::vector<int64_t>(40, 10)};
+}
+
+bool BitwiseEqual(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(GemmTNSegmentsTest, ScalarMatchesPerUnitGemmTNAndAdd) {
+  Rng rng(48);
+  for (int64_t m = 1; m <= 33; m += 4) {
+    for (int64_t n = 1; n <= 33; n += 2) {
+      for (const auto& rows : SegmentRowPatterns()) {
+        const SegmentData d = MakeSegments(m, n, rows, &rng);
+        std::vector<float> c0(static_cast<size_t>(m * n));
+        for (auto& x : c0) x = static_cast<float>(rng.Uniform(-2.0, 2.0));
+        for (const bool acc : {false, true}) {
+          const auto want = PerUnitOracle(m, n, d, c0, acc);
+          auto got = c0;
+          ScalarKernels().gemm_tn_segments(m, n, d.segs.data(),
+                                           static_cast<int64_t>(d.segs.size()),
+                                           got.data(), acc);
+          ASSERT_TRUE(BitwiseEqual(want, got))
+              << "m=" << m << " n=" << n << " segs=" << rows.size()
+              << " accumulate=" << acc;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTNSegmentsTest, FirstSegmentIsStoredNotAddedToZero) {
+  // An fma chain from +0 yields -0 when every product underflows to a
+  // negative zero. A non-accumulating call must keep that -0 (as a copy
+  // does) rather than produce 0 + -0 = +0; an accumulating call adds. The
+  // shape reaches every AVX2 path: one- and two-row segments, the 16- and
+  // 8-column panels, row remainders and the scalar column tail.
+  const int64_t m = 7, n = 27;
+  std::vector<const KernelTable*> tables = {&ScalarKernels()};
+  if (Avx2KernelsCompiled() && CpuSupportsAvx2Fma()) {
+    tables.push_back(Avx2KernelsOrNull());
+  }
+  for (const int64_t rows : {1, 2}) {
+    const std::vector<float> a(static_cast<size_t>(rows * m), -1e-30f);
+    const std::vector<float> b(static_cast<size_t>(rows * n), 1e-30f);
+    const GemmTNSegment seg{a.data(), b.data(), rows};
+    for (const KernelTable* t : tables) {
+      std::vector<float> c(static_cast<size_t>(m * n), 7.0f);
+      t->gemm_tn_segments(m, n, &seg, 1, c.data(), /*accumulate=*/false);
+      for (const float x : c) {
+        ASSERT_TRUE(x == 0.0f && std::signbit(x)) << "rows=" << rows;
+      }
+      std::vector<float> z(static_cast<size_t>(m * n), 0.0f);
+      t->gemm_tn_segments(m, n, &seg, 1, z.data(), /*accumulate=*/true);
+      for (const float x : z) {
+        ASSERT_TRUE(x == 0.0f && !std::signbit(x)) << "rows=" << rows;
+      }
+    }
+  }
+  // No segments: zero-fill without accumulate, untouched with it.
+  for (const KernelTable* t : tables) {
+    float e[2] = {3.0f, 3.0f};
+    t->gemm_tn_segments(1, 2, nullptr, 0, e, /*accumulate=*/true);
+    EXPECT_EQ(e[0], 3.0f);
+    t->gemm_tn_segments(1, 2, nullptr, 0, e, /*accumulate=*/false);
+    EXPECT_EQ(e[0], 0.0f);
+    EXPECT_EQ(e[1], 0.0f);
+  }
+}
+
 // ------------------------------------------------------ bitwise equivalence
 
 class IsaEquivalenceTest : public ::testing::Test {
@@ -174,6 +293,37 @@ TEST_F(IsaEquivalenceTest, GemmAllVariants) {
             }
             ExpectBitwiseEq(ref, got, "gemm");
             if (HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(IsaEquivalenceTest, GemmTNSegmentsAllTails) {
+  // Every m and n in 1..33: the 3×16 and 6×8 register tiles, each row
+  // remainder, and the scalar column tail; from a zero and a filled C.
+  Rng rng(49);
+  for (int64_t m = 1; m <= 33; ++m) {
+    for (int64_t n = 1; n <= 33; ++n) {
+      for (const auto& rows : SegmentRowPatterns()) {
+        const SegmentData d = MakeSegments(m, n, rows, &rng);
+        const int64_t ns = static_cast<int64_t>(d.segs.size());
+        std::vector<float> c0(static_cast<size_t>(m * n));
+        for (auto& x : c0) x = static_cast<float>(rng.Uniform(-2.0, 2.0));
+        for (const bool acc : {false, true}) {
+          const auto want = PerUnitOracle(m, n, d, c0, acc);
+          auto ref = c0;
+          auto got = c0;
+          ScalarKernels().gemm_tn_segments(m, n, d.segs.data(), ns,
+                                           ref.data(), acc);
+          avx2_->gemm_tn_segments(m, n, d.segs.data(), ns, got.data(), acc);
+          ExpectBitwiseEq(want, ref, "gemm_tn_segments scalar vs per-unit");
+          ExpectBitwiseEq(ref, got, "gemm_tn_segments");
+          if (HasFailure()) {
+            ADD_FAILURE() << "m=" << m << " n=" << n << " segs=" << ns
+                          << " accumulate=" << acc;
+            return;
           }
         }
       }

@@ -720,6 +720,45 @@ TEST(EmbeddingServerTest, IngestRejectsMalformedEdges) {
   EXPECT_TRUE(server.Query(3, 5).ok());
 }
 
+// One edge naming node 3·10^8 used to be accepted, growing the overlay
+// caches and, on refresh, the embedding table and serving matrix to 3·10^8
+// rows. ServeOptions::max_nodes refuses it with ResourceExhausted and
+// leaves the server untouched; ids below the limit still grow the table.
+TEST(EmbeddingServerTest, IngestRefusesNodeIdsBeyondMaxNodes) {
+  ServerFixture fx("max_nodes");
+  const NodeId n = fx.graph.num_nodes();
+  const Timestamp t0 = fx.graph.max_time();
+  {
+    auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, fx.Options());
+    ASSERT_TRUE(loaded.ok());
+    EmbeddingServer& server = *loaded.value();
+    const Tensor before = server.ServingEmbeddings();
+    // ASSERT: were the edge accepted, the Refresh below would try to
+    // allocate 3·10^8 rows.
+    const Status st = server.Ingest({1, 300'000'000, t0 + 1.0});
+    ASSERT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+    // A malformed edge is still InvalidArgument, not a limit failure.
+    EXPECT_EQ(server.Ingest({kInvalidNode, 5, t0 + 1.0}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(server.stats().ingested_edges, 0u);
+    EXPECT_EQ(server.stats().pending_edges, 0u);
+    ASSERT_TRUE(server.Refresh().ok());
+    EXPECT_EQ(server.num_nodes(), static_cast<size_t>(n));
+    EXPECT_TRUE(SameBytes(before, server.ServingEmbeddings()));
+  }
+  ServeOptions opt = fx.Options();
+  opt.max_nodes = n + 2;
+  auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, opt);
+  ASSERT_TRUE(loaded.ok());
+  EmbeddingServer& server = *loaded.value();
+  EXPECT_TRUE(server.Ingest({1, n + 1, t0 + 1.0}).ok());
+  EXPECT_EQ(server.Ingest({n + 2, 1, t0 + 2.0}).code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_TRUE(server.Refresh().ok());
+  EXPECT_EQ(server.num_nodes(), static_cast<size_t>(n + 2));
+  EXPECT_TRUE(server.Query(n + 1, 3).ok());
+}
+
 // Metrics never change bytes (DESIGN.md §8): with the registry on or off,
 // the finalize matrix, the post-finalize checkpoint, and the rows a server
 // serves after Load + ingest + Refresh are byte-identical. With metrics on,

@@ -47,6 +47,12 @@ TEST(StatusTest, AllFactoriesProduceMatchingCodes) {
   EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
 }
 
+TEST(StatusTest, ResourceExhaustedFactoryAndName) {
+  const Status s = Status::ResourceExhausted("too many nodes");
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(s.ToString(), "ResourceExhausted: too many nodes");
+}
+
 TEST(StatusTest, StreamOperatorRendersToString) {
   std::ostringstream os;
   os << Status::NotFound("missing");
