@@ -285,113 +285,6 @@ void BM_Table8_PhaseBreakdown(benchmark::State& state) {
 }
 BENCHMARK(BM_Table8_PhaseBreakdown)->Iterations(1)->Unit(benchmark::kSecond);
 
-// The async-pipeline companion (DESIGN.md §11): the same EHNA epoch run
-// synchronously (pipeline_depth = 0) and double-buffered (pipeline_depth =
-// 1), serial and multi-threaded. With the pipeline on, walk sampling +
-// plan assembly move off the critical path into the producer thread's
-// `pipeline_plan` phase; what remains in front of the consumer is the
-// `pipeline_wait` phase (time the consumer actually starved), and the
-// queue stall counters attribute any imbalance to the slower side. The
-// headline counters are the epoch speedups; results are bitwise-identical
-// either way, so this table is pure schedule.
-void BM_Table8_PipelineOverlap(benchmark::State& state) {
-  const ehna::TemporalGraph graph = BuildDataset(PaperDataset::kDigg);
-  const int threads = BenchThreads();
-  ehna::MetricsRegistry& registry = ehna::MetricsRegistry::Global();
-
-  struct RunSpec {
-    std::string label;
-    int num_threads;
-    int pipeline_depth;
-  };
-  const std::vector<RunSpec> runs{
-      {"serial sync", 1, 0},
-      {"serial piped", 1, 1},
-      {std::to_string(threads) + "T sync", threads, 0},
-      {std::to_string(threads) + "T piped", threads, 1},
-  };
-  struct PhaseRow {
-    const char* label;
-    const char* metric;
-  };
-  const std::vector<PhaseRow> phases{
-      {"walk sampling (sync path)", "train.phase.walk_sampling"},
-      {"pipeline plan (producer)", "train.phase.pipeline_plan"},
-      {"pipeline wait (consumer)", "train.phase.pipeline_wait"},
-      {"forward + backward", "train.phase.forward_backward"},
-      {"gradient reduction", "train.phase.grad_reduce"},
-      {"optimizer step", "train.phase.optimizer_step"},
-  };
-
-  for (auto _ : state) {
-    std::vector<std::string> header{"Phase"};
-    for (const RunSpec& run : runs) header.push_back(run.label);
-    TableWriter table(
-        "Table VIII companion — sync vs pipelined epoch (EHNA, Digg, "
-        "seconds)",
-        std::move(header));
-
-    std::map<std::string, std::vector<std::string>> cells;
-    std::map<std::string, double> epoch_s;
-    for (const RunSpec& run : runs) {
-      registry.Reset();
-      ehna::EhnaConfig cfg =
-          ehna::bench::BenchEhnaConfigFor(PaperDataset::kDigg, /*seed=*/5);
-      cfg.epochs = 1;
-      cfg.num_threads = run.num_threads;
-      cfg.pipeline_depth = run.pipeline_depth;
-      ehna::EhnaModel model(&graph, cfg);
-      const auto stats = model.Train(1);
-      const ehna::MetricsSnapshot snap = registry.Snapshot();
-
-      epoch_s[run.label] = stats.back().seconds;
-      for (const PhaseRow& row : phases) {
-        cells[row.metric].push_back(
-            TableWriter::FormatDouble(snap.PhaseSeconds(row.metric), 3));
-      }
-      cells["epoch"].push_back(
-          TableWriter::FormatDouble(stats.back().seconds, 3));
-      cells["producer_stall"].push_back(TableWriter::FormatDouble(
-          snap.CounterValue("pipeline.producer_stall_ns") * 1e-9, 3));
-      cells["consumer_stall"].push_back(TableWriter::FormatDouble(
-          snap.CounterValue("pipeline.consumer_stall_ns") * 1e-9, 3));
-    }
-
-    for (const PhaseRow& row : phases) {
-      std::vector<std::string> line{row.label};
-      for (const std::string& c : cells[row.metric]) line.push_back(c);
-      table.AddRow(std::move(line));
-    }
-    for (const auto& [key, label] :
-         std::vector<std::pair<std::string, std::string>>{
-             {"epoch", "whole epoch"},
-             {"producer_stall", "producer queue stall"},
-             {"consumer_stall", "consumer queue stall"}}) {
-      std::vector<std::string> line{label};
-      for (const std::string& c : cells[key]) line.push_back(c);
-      table.AddRow(std::move(line));
-    }
-    table.Print(std::cout);
-
-    const double serial_speedup =
-        epoch_s["serial piped"] > 0.0
-            ? epoch_s["serial sync"] / epoch_s["serial piped"]
-            : 0.0;
-    const std::string mt_sync = std::to_string(threads) + "T sync";
-    const std::string mt_piped = std::to_string(threads) + "T piped";
-    const double mt_speedup = epoch_s[mt_piped] > 0.0
-                                  ? epoch_s[mt_sync] / epoch_s[mt_piped]
-                                  : 0.0;
-    state.counters["serial_sync_s"] = epoch_s["serial sync"];
-    state.counters["serial_piped_s"] = epoch_s["serial piped"];
-    state.counters["mt_sync_s"] = epoch_s[mt_sync];
-    state.counters["mt_piped_s"] = epoch_s[mt_piped];
-    state.counters["serial_speedup"] = serial_speedup;
-    state.counters["mt_speedup"] = mt_speedup;
-  }
-}
-BENCHMARK(BM_Table8_PipelineOverlap)->Iterations(1)->Unit(benchmark::kSecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -3,17 +3,19 @@
 
 Usage: check_bench_regression.py CURRENT.json BASELINE.json [--tolerance 0.30]
 
-Records are matched on (bench, shape, isa, metric), and only
-higher-is-better throughput metrics (the _COMPARED_METRICS allowlist:
-kernel GFLOP/s plus the scale-graph edges/walks/epoch rates) are gated: a
-current value more than `tolerance` below the baseline fails. Metrics
-outside the allowlist — e.g. rss_mb, where smaller is better and absolute
-values are host-dependent — ride along in the JSON as informational
-context but never gate. Records present on one side only are reported but
-never fail the check — shapes and ISAs legitimately differ across hosts
-(e.g. a runner without AVX2 produces scalar-only records). Throughput
-above baseline is fine; a run that is consistently faster should refresh
-the baseline via bench/update_ci_baseline.sh.
+Records are matched on (bench, shape, isa, metric), and only the metrics in
+the _COMPARED_METRICS table are gated, each in its own direction:
+higher-is-better throughput (kernel GFLOP/s, the scale-graph and serving
+rates) fails when the current value falls more than `tolerance` below the
+baseline (a floor); lower-is-better latency and memory (serving refresh
+percentiles, serving-matrix megabytes) fails when it rises more than
+`tolerance` above it (a ceiling). Metrics outside the table — e.g. rss_mb,
+whose absolute value is host-dependent — ride along in the JSON as
+informational context but never gate. Records present on one side only are
+reported but never fail the check — shapes and ISAs legitimately differ
+across hosts (e.g. a runner without AVX2 produces scalar-only records). A
+run that is consistently better than its baseline should refresh the
+baseline via bench/update_ci_baseline.sh.
 
 Malformed input (unreadable file, invalid JSON, a record that is not an
 object, or one missing/mistyping a required field) exits with status 2 and
@@ -42,21 +44,27 @@ _REQUIRED = {
     "value": (int, float),
 }
 
-# Metrics the gate compares. All are throughput (higher is better), so one
-# floor rule covers them; anything else in the JSON is informational.
+# Metrics the gate compares, with their direction: "higher" metrics get a
+# floor at baseline * (1 - tolerance), "lower" ones a ceiling at
+# baseline * (1 + tolerance). Anything else in the JSON is informational.
 _COMPARED_METRICS = {
-    "gflops",        # bench_nn_kernels: kernel arithmetic throughput.
-    "medges_per_s",  # bench_scale_graph: edge-log write / graph build rate.
-    "kwalks_per_s",  # bench_scale_graph: temporal walk sampling rate.
-    "keps",          # bench_scale_graph: training-epoch edge throughput.
-    "ingest_meps",   # bench_serve: overlay ingest rate into the delta.
-    "exact_kqps",    # bench_serve: exact-scan query throughput.
-    "ann_kqps",      # bench_serve: IVF-flat ANN query throughput.
-    "serve_keps",    # bench_serve: end-to-end ingest+refresh edge rate.
-    "int8_exact_kqps",  # bench_serve: int8 quantized exact scan + fp32 re-rank.
-    "int8_ann_kqps",    # bench_serve: int8 quantized IVF-flat candidates.
-    "bf16_exact_kqps",  # bench_serve: bf16 quantized exact scan.
-    "bf16_ann_kqps",    # bench_serve: bf16 quantized IVF-flat candidates.
+    "gflops": "higher",        # bench_nn_kernels: kernel arithmetic rate.
+    "medges_per_s": "higher",  # bench_scale_graph: edge-log write / build.
+    "kwalks_per_s": "higher",  # bench_scale_graph: temporal walk sampling.
+    "keps": "higher",          # bench_scale_graph: training-epoch edges.
+    "ingest_meps": "higher",   # bench_serve: overlay ingest into the delta.
+    "exact_kqps": "higher",    # bench_serve: exact-scan query throughput.
+    "ann_kqps": "higher",      # bench_serve: IVF-flat ANN query throughput.
+    "serve_keps": "higher",    # bench_serve: end-to-end ingest+refresh.
+    "int8_exact_kqps": "higher",  # bench_serve: int8 scan + fp32 re-rank.
+    "int8_ann_kqps": "higher",    # bench_serve: int8 IVF-flat candidates.
+    "bf16_exact_kqps": "higher",  # bench_serve: bf16 quantized exact scan.
+    "bf16_ann_kqps": "higher",    # bench_serve: bf16 IVF-flat candidates.
+    "refresh_p50_ms": "lower",    # bench_serve: incremental refresh latency.
+    "refresh_p95_ms": "lower",
+    "fp32_matrix_mb": "lower",    # bench_serve: serving-matrix footprint.
+    "int8_matrix_mb": "lower",
+    "bf16_matrix_mb": "lower",
 }
 
 
@@ -139,13 +147,18 @@ def main():
                 f"in baseline only (skipped)"
             )
             continue
-        floor = base * (1.0 - args.tolerance)
-        status = "ok" if cur >= floor else "REGRESSION"
+        if _COMPARED_METRICS[metric] == "higher":
+            bound, kind = base * (1.0 - args.tolerance), "floor"
+            ok = cur >= bound
+        else:
+            bound, kind = base * (1.0 + args.tolerance), "ceiling"
+            ok = cur <= bound
+        status = "ok" if ok else "REGRESSION"
         print(
             f"{status:>10}  {bench} {shape} [{isa}] {metric}: "
-            f"{cur:.2f} vs baseline {base:.2f} (floor {floor:.2f})"
+            f"{cur:.2f} vs baseline {base:.2f} ({kind} {bound:.2f})"
         )
-        if cur < floor:
+        if not ok:
             failures.append(key)
     for key in sorted(set(current) - set(baseline)):
         bench, shape, isa, metric = key
@@ -154,7 +167,7 @@ def main():
     if failures:
         print(
             f"\n{len(failures)} record(s) regressed more than "
-            f"{args.tolerance:.0%} below baseline."
+            f"{args.tolerance:.0%} from baseline."
         )
         return 1
     print("\nAll matched records within tolerance.")

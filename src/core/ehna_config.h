@@ -75,32 +75,6 @@ struct EhnaConfig {
   /// neighborhood: number of neighbors sampled per hop.
   int fallback_samples = 10;
 
-  /// When true (the default), the trainer packs every aggregation a batch
-  /// (or, data-parallel, a worker shard) of edges needs — both endpoints
-  /// plus all negatives — into one cross-edge tape: walks are sampled up
-  /// front in the exact legacy RNG order, their sequences run through one
-  /// length-bucketed, masked, multi-sequence LSTM pack, and order-sensitive
-  /// parameter accumulations are deferred to a canonical replay so losses,
-  /// gradients, and checkpoints are bitwise identical to the per-edge
-  /// path. See DESIGN.md §10. False restores one aggregation pack per
-  /// aggregation call (the equivalence-test reference).
-  bool batched_aggregation = true;
-
-  /// Async training pipeline depth (DESIGN.md §11). 0 (the default) runs
-  /// the synchronous path: every batch's walk sampling + plan assembly is
-  /// serialized in front of its forward/backward. N >= 1 overlaps them: a
-  /// producer task on a dedicated pipeline thread pre-builds up to N batch
-  /// packs ahead (per-batch plan captures, each pack paired with the
-  /// TensorArena its tape will run in) behind a bounded queue while the
-  /// consumer runs forward/backward/optimizer on the previous pack; N = 1
-  /// is classic double buffering. Because plans capture every RNG draw up
-  /// front (in the exact synchronous order) and compute consumes no RNG,
-  /// async training is bitwise-identical to synchronous training at any
-  /// thread count — checkpoint bytes included. The knob composes with
-  /// `num_threads`; it requires `batched_aggregation` and at least one
-  /// negative sample (otherwise the synchronous path runs regardless).
-  int pipeline_depth = 0;
-
   /// Worker threads for training and inference. 1 (the default) runs the
   /// exact legacy serial path; 0 resolves to the hardware concurrency; N >
   /// 1 trains data-parallel (per-worker tapes, gradients reduced into one

@@ -33,14 +33,9 @@ namespace ehna {
 /// seed regardless of thread count. `num_threads == 1` runs the exact
 /// legacy serial path.
 ///
-/// With `config.pipeline_depth >= 1` the trainer additionally overlaps
-/// walk sampling / plan assembly with LSTM compute (DESIGN.md §11): a
-/// producer task on a dedicated pipeline thread pre-builds up to
-/// `pipeline_depth` batch packs behind a bounded queue while the consumer
-/// runs forward/backward/optimizer on the previous pack. Plans capture
-/// every RNG draw up front in the exact synchronous order and compute
-/// consumes no RNG, so async training is bitwise-identical to the
-/// synchronous path — checkpoint bytes included — at any thread count.
+/// Either way a batch (or a worker's shard of one) first plans every
+/// aggregation it needs — capturing every RNG draw up front — and then runs
+/// them all through one packed AggregateBatch tape (DESIGN.md §10).
 class EhnaModel {
  public:
   /// `graph` must outlive the model.
@@ -65,12 +60,15 @@ class EhnaModel {
   /// `config.checkpoint_dir` is non-empty, a snapshot is written every
   /// `config.checkpoint_every` completed epochs (and after the final one),
   /// with keep-last-N rotation; snapshot failures are logged, not fatal.
+  /// A negative `config.epochs` is a programming error and aborts with a
+  /// message naming the field.
   std::vector<EpochStats> Train(
       int epochs = 0,
       const std::function<void(int epoch, const EpochStats&)>& progress = {});
 
   /// Builds the autograd loss for one edge (Eq. 6, or Eq. 7 when
-  /// bidirectional negatives are enabled). Exposed for tests.
+  /// bidirectional negatives are enabled) on the master aggregator and RNG:
+  /// PlanEdge, one AggregateBatch, then EdgeLossFromZ. Exposed for tests.
   Var EdgeLoss(const TemporalEdge& edge, bool training);
 
   /// §IV.D final pass: one aggregation per node anchored at its most recent
@@ -124,22 +122,10 @@ class EhnaModel {
   /// leaves, embedding gradient sink, and scratch stats.
   struct Worker;
 
-  /// One async-pipeline slot: a batch's plan captures (per shard) plus the
-  /// TensorArena its tape will run in. Slots rotate producer -> ready
-  /// queue -> consumer -> free queue; with pipeline_depth = 1 two slots
-  /// alternate (double buffering).
-  struct BatchPack;
-
-  /// EdgeLoss evaluated against an arbitrary aggregator/RNG (the serial
-  /// path passes the master pair; parallel workers pass their replica and
-  /// a per-edge stream).
-  Var EdgeLossOn(EhnaAggregator* aggregator, const TemporalEdge& edge,
-                 bool training, Rng* rng);
-
   /// Plans every aggregation one edge's loss needs — src, dst, then each
   /// sampled negative — appending to `plans` while consuming `rng` in
-  /// exactly the order EdgeLossOn would (walk sampling, fallback draws and
-  /// negative sampling interleave identically). The edge's plan span is
+  /// exactly the order per-call Aggregate would (walk sampling, fallback
+  /// draws and negative sampling interleave). The edge's plan span is
   /// [old plans->size(), plans->size()).
   void PlanEdge(EhnaAggregator* aggregator, const TemporalEdge& edge,
                 Rng* rng, std::vector<AggregationPlan>* plans);
@@ -155,26 +141,14 @@ class EhnaModel {
   EpochStats TrainEpochSerial();
   EpochStats TrainEpochParallel();
 
-  /// Async-pipeline variants of the two epoch loops (DESIGN.md §11):
-  /// byte-identical results, with planning overlapped against compute.
-  EpochStats TrainEpochSerialAsync();
-  EpochStats TrainEpochParallelAsync();
-
-  /// True when this epoch should run the producer/consumer pipeline:
-  /// pipeline_depth >= 1, batched aggregation on, and at least one
-  /// negative sample (the degenerate negative-free objective keeps the
-  /// synchronous path's early-exit semantics).
-  bool PipelineEnabled() const;
+  /// Clips the reduced gradients, takes one dense Adam step and one
+  /// sparse embedding Adam step, and zeroes the dense gradients.
+  void OptimizerStep();
 
   /// Lazily builds the pool (and, for EnsureWorkers, the worker replicas)
   /// sized to num_threads().
   ThreadPool* EnsurePool();
   void EnsureWorkers();
-
-  /// Lazily builds the single-thread producer pool and the pipeline's
-  /// recycled batch-pack slots (pipeline_depth + 1 of them).
-  ThreadPool* EnsurePipelinePool();
-  void EnsurePipelineSlots(size_t num_slots);
 
   /// Copies master parameter values and BatchNorm running statistics into a
   /// worker replica (called between optimizer steps, never concurrently
@@ -204,12 +178,6 @@ class EhnaModel {
 
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
-
-  /// Async pipeline state: a one-thread pool the per-epoch producer task
-  /// runs on (so its exceptions surface at the Wait join point), and the
-  /// recycled pack slots. Only materialized when PipelineEnabled().
-  std::unique_ptr<ThreadPool> pipeline_pool_;
-  std::vector<std::unique_ptr<BatchPack>> pipeline_slots_;
 
   uint64_t epoch_index_ = 0;  // namespaces the per-edge training streams.
 };

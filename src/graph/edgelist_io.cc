@@ -74,9 +74,17 @@ Result<std::vector<TemporalEdge>> ReadEdgeList(const std::string& path) {
         dst > static_cast<long long>(kInvalidNode) - 1) {
       return LineError("node id out of range", path, lineno);
     }
-    edges.push_back(TemporalEdge{static_cast<NodeId>(src),
-                                 static_cast<NodeId>(dst), time,
-                                 static_cast<float>(weight)});
+    // Casting a double beyond float range to float is undefined behaviour.
+    if (std::fabs(weight) > std::numeric_limits<float>::max()) {
+      return LineError("weight '" + weight_tok + "' out of float range", path,
+                       lineno);
+    }
+    const TemporalEdge edge{static_cast<NodeId>(src), static_cast<NodeId>(dst),
+                            time, static_cast<float>(weight)};
+    if (const Status st = TemporalGraph::ValidateEdge(edge); !st.ok()) {
+      return LineError(st.message(), path, lineno);
+    }
+    edges.push_back(edge);
   }
   return edges;
 }

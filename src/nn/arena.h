@@ -23,11 +23,9 @@ namespace ehna {
 ///  - An arena may be *active* on at most one thread at a time, but it may
 ///    be handed off between threads across batches: the data-parallel
 ///    trainer activates a worker's arena on whichever pool thread runs the
-///    shard, and the async pipeline activates a slot's arena on the
-///    consumer thread while the producer fills the slot's (heap-backed)
-///    plan pack. Every handoff must be ordered by a synchronization edge
-///    (the pool's task queue, the pipeline's bounded queue); Scope itself
-///    enforces the single-thread-at-a-time rule with a cheap owner check.
+///    shard. Every handoff must be ordered by a synchronization edge (the
+///    pool's task queue and its Wait); Scope itself enforces the
+///    single-thread-at-a-time rule with a cheap owner check.
 ///  - Reset() must only run when no Scope for this arena is live and every
 ///    arena-backed tensor from the previous cycle is either destroyed or
 ///    will never be read again. The trainer resets at the end of a batch,
@@ -52,9 +50,8 @@ class TensorArena {
 
   /// Rewinds every block to empty, retaining the memory for the next
   /// cycle. Checks that no Scope for this arena is live — resetting under
-  /// an active tape is exactly the use-after-reset class of bug the async
-  /// pipeline's slot recycling could otherwise reintroduce. See the
-  /// lifetime rules above.
+  /// an active tape is the use-after-reset class of bug. See the lifetime
+  /// rules above.
   void Reset();
 
   /// Bytes handed out since the last Reset().
@@ -120,7 +117,7 @@ class TensorArena {
   /// Live Scope count and the (hashed) id of the owning thread while any
   /// scope is active. Relaxed atomics: these back best-effort concurrency
   /// checks (Scope activation from a second thread, Reset under a live
-  /// scope), not synchronization — the pipeline's queues provide that.
+  /// scope), not synchronization — the thread pool provides that.
   std::atomic<int> live_scopes_{0};
   std::atomic<uint64_t> owner_thread_{0};
 };

@@ -49,12 +49,6 @@ void ThreadPool::Wait() {
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-std::exception_ptr ThreadPool::CollectError() noexcept {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  return std::exchange(first_error_, nullptr);
-}
-
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   const size_t chunks = std::min(n, workers_.size() * 4);
@@ -74,11 +68,13 @@ void ThreadPool::ParallelForShards(
     size_t n, size_t num_shards,
     const std::function<void(size_t, size_t, size_t)>& fn) {
   if (n == 0) return;
-  const size_t shards = ResolveShards(n, num_shards);
+  const size_t shards = std::max<size_t>(1, std::min(n, num_shards));
+  const size_t per_shard = (n + shards - 1) / shards;
   for (size_t s = 0; s < shards; ++s) {
-    const auto [begin, end] = ShardBounds(n, shards, s);
-    if (begin >= end) break;
-    Submit([&fn, s, begin = begin, end = end] { fn(s, begin, end); });
+    const size_t begin = s * per_shard;
+    if (begin >= n) break;
+    const size_t end = std::min(n, begin + per_shard);
+    Submit([&fn, s, begin, end] { fn(s, begin, end); });
   }
   Wait();
 }

@@ -15,14 +15,13 @@ namespace ehna {
 
 /// A fixed-size worker pool with a simple task queue. Used to parallelize
 /// walk sampling, hogwild-style SGNS training (Table VIII's k-thread
-/// variants), and the async training pipeline's producer stage.
+/// variants), the data-parallel EHNA trainer's shards, and inference.
 ///
 /// Exception contract: a task that throws does not bring the process down.
 /// The first in-flight exception is captured into a std::exception_ptr and
 /// rethrown from the next Wait() (and therefore from ParallelFor /
 /// ParallelForShards, which Wait internally); later exceptions from the
-/// same wave are dropped. Abort paths that must not throw — e.g. unwinding
-/// a half-built pipeline — use CollectError() instead.
+/// same wave are dropped.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -30,7 +29,7 @@ class ThreadPool {
 
   /// Drains outstanding tasks and joins the workers. An exception still
   /// pending at destruction is logged and dropped (destructors must not
-  /// throw); retrieve it with Wait() or CollectError() first.
+  /// throw); retrieve it with Wait() first.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -42,11 +41,6 @@ class ThreadPool {
   /// Blocks until every submitted task has finished executing, then
   /// rethrows the first exception any of them raised (if any).
   void Wait();
-
-  /// Blocks until every submitted task has finished executing and returns
-  /// the first captured exception (nullptr if none) instead of throwing.
-  /// Safe to call during stack unwinding.
-  std::exception_ptr CollectError() noexcept;
 
   size_t num_threads() const { return workers_.size(); }
 
@@ -63,24 +57,6 @@ class ThreadPool {
   void ParallelForShards(
       size_t n, size_t num_shards,
       const std::function<void(size_t shard, size_t begin, size_t end)>& fn);
-
-  /// The shard count ParallelForShards(n, num_shards, ...) would use:
-  /// max(1, min(n, num_shards)). Exposed so off-pool producers (the async
-  /// training pipeline) can pre-partition work identically.
-  static size_t ResolveShards(size_t n, size_t num_shards) {
-    const size_t capped = n < num_shards ? n : num_shards;
-    return capped < 1 ? 1 : capped;
-  }
-
-  /// The [begin, end) range of shard `s` under ParallelForShards'
-  /// decomposition of [0, n) into `shards` (= ResolveShards(...)) pieces.
-  static std::pair<size_t, size_t> ShardBounds(size_t n, size_t shards,
-                                               size_t s) {
-    const size_t per_shard = (n + shards - 1) / shards;
-    const size_t begin = s * per_shard;
-    const size_t end = begin + per_shard < n ? begin + per_shard : n;
-    return {begin < end ? begin : end, end};
-  }
 
  private:
   void WorkerLoop();

@@ -1,31 +1,29 @@
-// Equivalence tests for the minibatch-packed aggregation path (ISSUE 5
-// tentpole, DESIGN.md §10). Three contracts are enforced here:
+// Equivalence tests for the minibatch-packed aggregation path (DESIGN.md
+// §10). Contracts enforced here:
 //
 //  1. Forward equivalence: AggregateBatch produces bitwise the same z as a
 //     sequence of legacy Aggregate calls driven by an identically seeded
 //     RNG, for every variant, for multi-plan packs with mixed walk
 //     lengths, and for the fallback / isolated-node paths.
-//  2. Training-mode equivalence: a run with `batched_aggregation = true`
-//     (one pack per batch/shard) is bitwise identical — checkpoint bytes
-//     and final embeddings — to a run with `batched_aggregation = false`
-//     (one pack per edge), serial and 4-threaded, metrics on and off.
-//  3. Gradient reach: one Backward through a packed batch populates every
+//  2. Gradient reach: one Backward through a packed batch populates every
 //     parameter group and the sparse embedding accumulator.
+//  3. Pack-size invariance: an Eq. 6 hinge loss run through one
+//     AggregateBatch per edge (mode A) and through one pack of every edge
+//     (mode B) leaves bitwise the same state — every z, every parameter
+//     gradient (BatchNorm gamma/beta included), the BatchNorm running
+//     statistics and the embedding table after one sparse Adam step. The
+//     trainer runs one pack per batch or shard; this is what makes its
+//     result independent of how edges are grouped.
 //  4. Segmented replay: the LSTM and fuse weight gradients the sentinel
 //     folds with one GemmTNSegments call per weight equal the per-unit
 //     replay it replaced (GemmTN into a fresh tensor + AccumulateGrad per
 //     (plan, layer, step)), which lives on below as the oracle.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/aggregator.h"
-#include "core/model.h"
 #include "graph/generators/generators.h"
 #include "nn/kernels.h"
 #include "nn/ops.h"
@@ -33,8 +31,6 @@
 
 namespace ehna {
 namespace {
-
-namespace fs = std::filesystem;
 
 TemporalGraph SmallGraph() {
   auto g = MakePaperDataset(PaperDataset::kDigg, 0.05, 42);
@@ -51,20 +47,6 @@ EhnaConfig SmallConfig() {
   cfg.num_negatives = 1;
   cfg.seed = 1;
   return cfg;
-}
-
-std::string FreshDir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-std::string ReadBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 /// Element-exact comparison; any mismatch reports the first bad index.
@@ -264,31 +246,62 @@ std::vector<Var> OracleFrom(const std::vector<Var>& weights) {
   return oracle;
 }
 
-void ExpectSameWeightGrads(const std::vector<Var>& want,
-                           const std::vector<Var>& got,
-                           const std::string& what) {
+/// Gradient flags and values of two positionally matching Var lists.
+void ExpectSameGrads(const std::vector<Var>& want, const std::vector<Var>& got,
+                     const std::string& what) {
   ASSERT_EQ(want.size(), got.size());
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(want[i].impl()->grad_defined, got[i].impl()->grad_defined)
-        << what << " weight " << i;
+        << what << " param " << i;
     if (!want[i].impl()->grad_defined) continue;
     ExpectBitwiseEqual(want[i].grad(), got[i].grad(),
-                       what + " weight " + std::to_string(i));
+                       what + " param " + std::to_string(i));
   }
 }
 
-/// One packed Backward in mode B (every plan in one AggregateBatch) and in
-/// mode A (one AggregateBatch per edge of `per_edge` plans, one Backward
-/// over all of them), each checked against the per-unit oracle and
-/// against each other. Two rounds without clearing gradients cover both
-/// the first-write store and the accumulate path.
+/// The edges of the pack-size test: plan indices into one flat plan list.
+/// Each edge's pack is its own plan span [first, first + size); its Eq. 6
+/// terms compare x with y and with each negative. A plan in the span that
+/// no term names is aggregated but never consumed.
+struct TestEdge {
+  size_t first, size;
+  size_t x, y;
+  std::vector<size_t> negatives;
+};
+
+/// Eq. 6 over `edges`, summed: for every negative v of an edge,
+/// Hinge(margin + ||z_x - z_y||² - ||z_x - z_v||²). Margins alternate
+/// between -4.5 (never active: the distances of unit vectors lie in [0, 4])
+/// and +4.5 (always active), so every edge has an inactive term.
+Var HingeLoss(const std::vector<Var>& z, const std::vector<TestEdge>& edges) {
+  std::vector<Var> terms;
+  for (const TestEdge& e : edges) {
+    const Var d_pos = ag::SumSquares(ag::Sub(z[e.x], z[e.y]));
+    for (size_t q = 0; q < e.negatives.size(); ++q) {
+      const Var d_neg = ag::SumSquares(ag::Sub(z[e.x], z[e.negatives[q]]));
+      const float margin = q % 2 == 0 ? -4.5f : 4.5f;
+      terms.push_back(ag::Hinge(ag::AddScalar(ag::Sub(d_pos, d_neg), margin)));
+    }
+  }
+  return ag::SumN(terms);
+}
+
+/// One packed Backward of the Eq. 6 loss in mode B (every plan in one
+/// AggregateBatch) and in mode A (one AggregateBatch per edge, one Backward
+/// over all of them). Each mode's weight gradients are checked against the
+/// per-unit oracle, and the two modes' whole state against each other. Two
+/// rounds without clearing the dense gradients cover both the first-write
+/// store and the accumulate path.
 void ExpectSegmentedReplayMatchesPerUnit(const EhnaConfig& cfg) {
   TemporalGraph g = SmallGraph();
-  const std::vector<NodeId> targets = {0, 5, 3, 17, 1, 9};
-  const std::vector<Timestamp> times = {
-      g.max_time() + 1.0, g.max_time() + 1.0, g.min_time() - 1.0,
-      g.max_time() + 1.0, g.max_time() + 1.0, g.max_time() + 1.0};
-  const size_t per_edge = 2;
+  // Node 3 is planned before any edge exists (the fallback path); node 4
+  // sits inside the second edge's pack but no loss term consumes it.
+  const std::vector<NodeId> targets = {0, 5, 3, 17, 1, 9, 4, 2, 11};
+  const Timestamp late = g.max_time() + 1.0;
+  const std::vector<Timestamp> times = {late, late, g.min_time() - 1.0,
+                                        late, late, late, late, late, late};
+  const std::vector<TestEdge> edges = {{0, 4, 0, 1, {2, 3}},
+                                       {4, 5, 4, 5, {7, 8}}};
   const std::string name = EhnaVariantName(cfg.variant) +
                            std::string(" dim ") + std::to_string(cfg.dim);
 
@@ -315,37 +328,55 @@ void ExpectSegmentedReplayMatchesPerUnit(const EhnaConfig& cfg) {
     // Mode B: one pack.
     const std::vector<Var> oracle_b = OracleFrom(weights_b);
     PackedBatchTrace trace_b;
-    std::vector<Var> terms_b;
-    for (const Var& z : agg_b.AggregateBatch(plans_b, true, &trace_b)) {
-      terms_b.push_back(ag::SumSquares(z));
-    }
-    Backward(ag::SumN(terms_b));
+    const std::vector<Var> z_b = agg_b.AggregateBatch(plans_b, true, &trace_b);
+    Backward(HingeLoss(z_b, edges));
     ReplayPerUnit(trace_b, layers, oracle_b);
-    ExpectSameWeightGrads(oracle_b, weights_b, what + " mode B");
+    ExpectSameGrads(oracle_b, weights_b, what + " mode B");
 
     // Mode A: one pack per edge; the per-call sentinels run in reverse
     // call order.
     const std::vector<Var> oracle_a = OracleFrom(weights_a);
     std::vector<PackedBatchTrace> traces_a;
-    std::vector<Var> terms_a;
-    for (size_t e = 0; e < plans_a.size(); e += per_edge) {
-      const std::vector<AggregationPlan> edge(
-          plans_a.begin() + static_cast<std::ptrdiff_t>(e),
-          plans_a.begin() + static_cast<std::ptrdiff_t>(e + per_edge));
+    std::vector<Var> z_a;
+    for (const TestEdge& e : edges) {
+      const auto first = plans_a.begin() + static_cast<std::ptrdiff_t>(e.first);
+      const std::vector<AggregationPlan> pack(
+          first, first + static_cast<std::ptrdiff_t>(e.size));
       traces_a.emplace_back();
-      for (const Var& z : agg_a.AggregateBatch(edge, true, &traces_a.back())) {
-        terms_a.push_back(ag::SumSquares(z));
+      for (const Var& z : agg_a.AggregateBatch(pack, true, &traces_a.back())) {
+        z_a.push_back(z);
       }
     }
-    Backward(ag::SumN(terms_a));
+    Backward(HingeLoss(z_a, edges));
     for (size_t c = traces_a.size(); c-- > 0;) {
       ReplayPerUnit(traces_a[c], layers, oracle_a);
     }
-    ExpectSameWeightGrads(oracle_a, weights_a, what + " mode A");
-    ExpectSameWeightGrads(weights_b, weights_a, what + " mode A vs B");
+    ExpectSameGrads(oracle_a, weights_a, what + " mode A");
+
+    // Mode A vs mode B: the whole state.
+    ASSERT_EQ(z_a.size(), z_b.size());
+    for (size_t i = 0; i < z_a.size(); ++i) {
+      ExpectBitwiseEqual(z_b[i].value(), z_a[i].value(),
+                         what + " z " + std::to_string(i));
+    }
+    ExpectSameGrads(agg_b.Parameters(), agg_a.Parameters(),
+                    what + " mode A vs B");
+    const auto bns_a = agg_a.MutableBatchNorms();
+    const auto bns_b = agg_b.MutableBatchNorms();
+    for (size_t b = 0; b < bns_a.size(); ++b) {
+      const std::string bn = what + " BN " + std::to_string(b);
+      ASSERT_EQ(bns_b[b]->stats_initialized(), bns_a[b]->stats_initialized())
+          << bn;
+      ExpectBitwiseEqual(bns_b[b]->running_mean(), bns_a[b]->running_mean(),
+                         bn + " running mean");
+      ExpectBitwiseEqual(bns_b[b]->running_var(), bns_a[b]->running_var(),
+                         bn + " running var");
+    }
+    emb_a.ApplyAdam(0.01f);
+    emb_b.ApplyAdam(0.01f);
+    ExpectBitwiseEqual(emb_b.table(), emb_a.table(), what + " embeddings");
+    if (::testing::Test::HasFailure()) return;
   }
-  emb_a.ClearGradients();
-  emb_b.ClearGradients();
 }
 
 TEST(AggregatorBatchTest, SegmentedWeightReplayMatchesPerUnitAllVariants) {
@@ -391,121 +422,6 @@ TEST(AggregatorBatchTest, ReplaySentinelIsTracedAsGradReplayPhase) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 1u);
   emb.ClearGradients();
-}
-
-// ---------------------------------------------------- training equivalence
-
-TemporalGraph TinyGraph() {
-  auto g = MakePaperDataset(PaperDataset::kDblp, 0.02, 9);
-  EHNA_CHECK(g.ok());
-  return std::move(g).value();
-}
-
-EhnaConfig TinyTrainConfig() {
-  EhnaConfig cfg;
-  cfg.dim = 4;
-  cfg.num_walks = 2;
-  cfg.walk_length = 3;
-  cfg.lstm_layers = 2;
-  cfg.num_negatives = 1;
-  cfg.batch_edges = 8;
-  cfg.epochs = 2;
-  cfg.max_edges_per_epoch = 24;
-  cfg.learning_rate = 5e-3f;
-  cfg.seed = 3;
-  return cfg;
-}
-
-/// Trains `cfg` for its configured epochs and returns {checkpoint bytes,
-/// finalized embeddings}.
-std::pair<std::string, Tensor> TrainAndSnapshot(const TemporalGraph& g,
-                                                EhnaConfig cfg,
-                                                const std::string& dir,
-                                                const std::string& tag) {
-  EhnaModel model(&g, cfg);
-  model.Train();
-  const std::string path = dir + "/" + tag + ".ehnc";
-  EHNA_CHECK(model.SaveCheckpoint(path).ok());
-  Tensor final_emb = model.FinalizeEmbeddings();
-  return {ReadBytes(path), std::move(final_emb)};
-}
-
-/// The tentpole contract: `batched_aggregation` on/off must be bitwise
-/// indistinguishable after training — same checkpoint bytes (parameters,
-/// Adam moments, BN statistics, RNG state) and same final embeddings.
-void ExpectModesBitwiseIdentical(EhnaConfig cfg, int num_threads,
-                                 bool metrics_enabled,
-                                 const std::string& dir_tag) {
-  TemporalGraph g = TinyGraph();
-  cfg.num_threads = num_threads;
-  const std::string dir = FreshDir(dir_tag);
-  const bool metrics_before = MetricsEnabled();
-  MetricsRegistry::SetEnabled(metrics_enabled);
-
-  EhnaConfig per_edge = cfg;
-  per_edge.batched_aggregation = false;
-  auto [bytes_a, emb_a] = TrainAndSnapshot(g, per_edge, dir, "per_edge");
-
-  EhnaConfig batched = cfg;
-  batched.batched_aggregation = true;
-  auto [bytes_b, emb_b] = TrainAndSnapshot(g, batched, dir, "batched");
-
-  MetricsRegistry::SetEnabled(metrics_before);
-  EXPECT_EQ(bytes_a, bytes_b)
-      << dir_tag << ": checkpoint bytes differ between per-edge and "
-      << "batched aggregation";
-  ExpectBitwiseEqual(emb_a, emb_b, dir_tag + ": final embeddings");
-  fs::remove_all(dir);
-}
-
-TEST(AggregatorBatchTest, TrainingModesBitwiseIdenticalSerial) {
-  ExpectModesBitwiseIdentical(TinyTrainConfig(), /*num_threads=*/1,
-                              /*metrics_enabled=*/true,
-                              "ehna_aggbatch_serial");
-}
-
-TEST(AggregatorBatchTest, TrainingModesBitwiseIdenticalFourThreads) {
-  ExpectModesBitwiseIdentical(TinyTrainConfig(), /*num_threads=*/4,
-                              /*metrics_enabled=*/true,
-                              "ehna_aggbatch_4t");
-}
-
-TEST(AggregatorBatchTest, TrainingModesBitwiseIdenticalMetricsOff) {
-  ExpectModesBitwiseIdentical(TinyTrainConfig(), /*num_threads=*/4,
-                              /*metrics_enabled=*/false,
-                              "ehna_aggbatch_nometrics");
-}
-
-TEST(AggregatorBatchTest, TrainingModesBitwiseIdenticalAcrossVariants) {
-  for (EhnaVariant variant :
-       {EhnaVariant::kNoAttention, EhnaVariant::kStaticWalk,
-        EhnaVariant::kSingleLayer}) {
-    EhnaConfig cfg = TinyTrainConfig();
-    cfg.variant = variant;
-    cfg.epochs = 1;
-    ExpectModesBitwiseIdentical(cfg, /*num_threads=*/1,
-                                /*metrics_enabled=*/true,
-                                std::string("ehna_aggbatch_") +
-                                    EhnaVariantName(variant));
-  }
-}
-
-TEST(AggregatorBatchTest, TrainingModesBitwiseIdenticalDim12AllVariants) {
-  // The segmented replay at a width whose tiles have remainders, 1T and 4T.
-  for (EhnaVariant variant :
-       {EhnaVariant::kFull, EhnaVariant::kNoAttention,
-        EhnaVariant::kStaticWalk, EhnaVariant::kSingleLayer}) {
-    for (const int threads : {1, 4}) {
-      EhnaConfig cfg = TinyTrainConfig();
-      cfg.dim = 12;
-      cfg.variant = variant;
-      cfg.epochs = 1;
-      ExpectModesBitwiseIdentical(cfg, threads, /*metrics_enabled=*/true,
-                                  std::string("ehna_aggbatch_dim12_") +
-                                      EhnaVariantName(variant) + "_" +
-                                      std::to_string(threads) + "t");
-    }
-  }
 }
 
 }  // namespace

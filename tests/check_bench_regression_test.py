@@ -130,6 +130,52 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("kwalks_per_s", proc.stdout)
 
+    def test_lower_is_better_metrics_gate_as_ceilings(self):
+        # Refresh latency and serving-matrix bytes fail when they grow more
+        # than the tolerance above baseline, and pass when they shrink.
+        for metric in ("refresh_p50_ms", "refresh_p95_ms", "fp32_matrix_mb",
+                       "int8_matrix_mb", "bf16_matrix_mb"):
+            with self.subTest(metric=metric):
+                base = self.write(
+                    "base.json", [record(metric=metric, value=10.0)])
+                worse = self.write(
+                    "worse.json", [record(metric=metric, value=13.5)])
+                proc = self.run_check(worse, base, "--tolerance", "0.30")
+                self.assertEqual(proc.returncode, 1,
+                                 proc.stdout + proc.stderr)
+                self.assertIn("REGRESSION", proc.stdout)
+                self.assertIn("ceiling 13.00", proc.stdout)
+                for value in (12.5, 1.0):
+                    better = self.write(
+                        "better.json",
+                        [record(metric=metric, value=value)])
+                    proc = self.run_check(better, base, "--tolerance", "0.30")
+                    self.assertEqual(proc.returncode, 0,
+                                     proc.stdout + proc.stderr)
+
+    def test_throughput_far_above_baseline_still_passes(self):
+        cur = self.write("cur.json", [record(value=100.0)])
+        base = self.write("base.json", [record(value=10.0)])
+        proc = self.run_check(cur, base, "--tolerance", "0.30")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("floor 7.00", proc.stdout)
+
+    def test_directions_mixed_in_one_file(self):
+        # A latency drop must not mask a throughput drop in the same run.
+        cur = self.write(
+            "cur.json",
+            [record(metric="refresh_p50_ms", value=1.0),
+             record(metric="serve_keps", value=1.0)],
+        )
+        base = self.write(
+            "base.json",
+            [record(metric="refresh_p50_ms", value=10.0),
+             record(metric="serve_keps", value=10.0)],
+        )
+        proc = self.run_check(cur, base, "--tolerance", "0.30")
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("1 record(s) regressed", proc.stdout)
+
     # ------------------------------------------- malformed-input paths
 
     def assert_clean_failure(self, proc, *needles):

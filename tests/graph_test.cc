@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/edgelist_io.h"
@@ -275,6 +276,35 @@ TEST(EdgeListIoTest, RejectsPartiallyNumericTokensAndTrailingGarbage) {
     auto r = ReadEdgeList(path);
     ASSERT_FALSE(r.ok()) << "accepted: " << bad;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(EdgeListIoTest, RejectsInvalidEdgesWithFileAndLine) {
+  // Lines that parse as tokens but describe an edge no graph accepts are
+  // refused by ReadEdgeList itself, naming the file and line — not later
+  // by FromEdges with no location. 1e300 is beyond float range, so the
+  // reader must refuse it before narrowing the weight to float.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ehna_io_invalid.txt")
+          .string();
+  const std::pair<const char*, const char*> cases[] = {
+      {"2 2 2.0\n", "self-loop on node 2"},
+      {"1 2 2.0 -1\n", "non-finite or negative edge weight"},
+      {"1 2 2.0 1e300\n", "out of float range"},
+  };
+  for (const auto& [bad, why] : cases) {
+    {
+      std::ofstream out(path);
+      out << "0 1 1.0\n" << bad;
+    }
+    auto r = ReadEdgeList(path);
+    ASSERT_FALSE(r.ok()) << "accepted: " << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(why), std::string::npos)
+        << r.status().message();
+    EXPECT_NE(r.status().message().find(path + ":2"), std::string::npos)
+        << r.status().message();
   }
   std::filesystem::remove(path);
 }

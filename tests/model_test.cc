@@ -69,6 +69,16 @@ TEST(EhnaModelTest, TrainingReducesLoss) {
   EXPECT_LT(last, first);
 }
 
+TEST(EhnaModelDeathTest, TrainRefusesNegativeEpochs) {
+  // A negative count must not wrap to ~2^64 epochs (and a history.reserve
+  // of that size); the refusal names the field.
+  TemporalGraph g = TinyGraph();
+  EhnaConfig cfg = TinyConfig();
+  cfg.epochs = -3;
+  EhnaModel model(&g, cfg);
+  EXPECT_DEATH(model.Train(), "EhnaConfig::epochs must be non-negative");
+}
+
 TEST(EhnaModelTest, TrainRunsRequestedEpochsWithProgress) {
   TemporalGraph g = TinyGraph();
   EhnaModel model(&g, TinyConfig());

@@ -107,22 +107,6 @@ TEST(ThreadPoolErrorTest, ParallelForShardsPropagatesShardException) {
                std::logic_error);
 }
 
-TEST(ThreadPoolErrorTest, CollectErrorReturnsInsteadOfThrowing) {
-  // The unwind-safe variant: same join semantics as Wait(), but the error
-  // comes back as an exception_ptr (nullptr when the wave was clean).
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("collected"); });
-  std::exception_ptr err = pool.CollectError();
-  ASSERT_NE(err, nullptr);
-  try {
-    std::rethrow_exception(err);
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "collected");
-  }
-  pool.Submit([] {});
-  EXPECT_EQ(pool.CollectError(), nullptr);
-}
-
 TEST(RngStreamTest, StreamsArePureFunctionsOfSeedAndIndex) {
   Rng a = Rng::Stream(42, 7);
   Rng b = Rng::Stream(42, 7);
