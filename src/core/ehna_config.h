@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 namespace ehna {
 
@@ -75,12 +76,13 @@ struct EhnaConfig {
   /// neighborhood: number of neighbors sampled per hop.
   int fallback_samples = 10;
 
-  /// Worker threads for training and inference. 1 (the default) runs the
-  /// exact legacy serial path; 0 resolves to the hardware concurrency; N >
-  /// 1 trains data-parallel (per-worker tapes, gradients reduced into one
-  /// optimizer step) and runs inference/walk generation with per-task RNG
-  /// streams so results are reproducible per (seed, num_threads). See
-  /// README "Parallelism & determinism".
+  /// Worker threads for training and inference; 0 resolves to the hardware
+  /// concurrency (see ResolvedNumThreads). Training runs one data-parallel
+  /// loop at every count (per-worker tapes, gradients reduced into one
+  /// optimizer step; 1 is one shard) with a per-edge RNG stream, so it is
+  /// reproducible per (seed, num_threads). Inference uses per-node streams
+  /// and gives the same bytes at every count. See README "Parallelism &
+  /// determinism".
   int num_threads = 1;
 
   /// Crash-safe checkpointing (see DESIGN.md §7 and README "Checkpointing
@@ -96,6 +98,14 @@ struct EhnaConfig {
 
   uint64_t seed = 1;
 };
+
+/// The worker count training and inference run with: `config.num_threads`,
+/// with 0 mapped to the hardware concurrency (at least 1).
+inline int ResolvedNumThreads(const EhnaConfig& config) {
+  if (config.num_threads > 0) return config.num_threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
 
 }  // namespace ehna
 

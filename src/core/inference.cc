@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "nn/kernels.h"
@@ -43,12 +42,6 @@ InferenceEngine::InferenceEngine(const TemporalGraph* graph,
   EHNA_CHECK_EQ(embedding->dim(), config.dim);
 }
 
-int InferenceEngine::num_threads() const {
-  if (config_.num_threads > 0) return config_.num_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 void InferenceEngine::RebindGraph(const TemporalGraph* graph) {
   EHNA_CHECK(graph != nullptr);
   graph_ = graph;
@@ -57,8 +50,8 @@ void InferenceEngine::RebindGraph(const TemporalGraph* graph) {
 
 ThreadPool* InferenceEngine::EnsurePool() {
   if (owned_pool_ == nullptr) {
-    owned_pool_ =
-        std::make_unique<ThreadPool>(static_cast<size_t>(num_threads()));
+    owned_pool_ = std::make_unique<ThreadPool>(
+        static_cast<size_t>(ResolvedNumThreads(config_)));
   }
   return owned_pool_.get();
 }
@@ -77,7 +70,7 @@ void InferenceEngine::FinalizeIsolated(NodeId v, float* dst) const {
 
 void InferenceEngine::AggregateRange(std::span<const NodeId> nodes,
                                      size_t begin, size_t end,
-                                     Rng* serial_rng, Tensor* out) {
+                                     Tensor* out) {
   // The aggregations are a pure forward read: no tape, so intermediates die
   // with each chunk and nothing accumulates into the table's gradients.
   NoTapeScope no_tape;
@@ -100,9 +93,7 @@ void InferenceEngine::AggregateRange(std::span<const NodeId> nodes,
         }
         Rng node_rng = Rng::Stream(config_.seed ^ kFinalizeStreamSalt, v);
         AggregationPlan& plan = plans.emplace_back();
-        aggregator_->PlanAggregation(
-            v, recent.value(), serial_rng != nullptr ? serial_rng : &node_rng,
-            &plan);
+        aggregator_->PlanAggregation(v, recent.value(), &node_rng, &plan);
         dsts.push_back(dst);
         rows += PackedWalkRows(plan);
       }
@@ -117,23 +108,17 @@ void InferenceEngine::AggregateRange(std::span<const NodeId> nodes,
   }
 }
 
-Tensor InferenceEngine::ComputeFinalEmbeddings(Rng* serial_rng,
-                                               ThreadPool* pool) {
+Tensor InferenceEngine::ComputeFinalEmbeddings(ThreadPool* pool) {
   const NodeId n = graph_->num_nodes();
   Tensor final(n, config_.dim);
   std::vector<NodeId> all(n);
   std::iota(all.begin(), all.end(), NodeId{0});
-  if (num_threads() > 1) {
-    RefreshInto(all, &final, pool);
-  } else {
-    EHNA_CHECK(serial_rng != nullptr);
-    AggregateRange(all, 0, n, serial_rng, &final);
-  }
+  RefreshInto(all, &final, pool);
   return final;
 }
 
-Tensor InferenceEngine::FinalizeEmbeddings(Rng* serial_rng, ThreadPool* pool) {
-  Tensor final = ComputeFinalEmbeddings(serial_rng, pool);
+Tensor InferenceEngine::FinalizeEmbeddings(ThreadPool* pool) {
+  Tensor final = ComputeFinalEmbeddings(pool);
   // Write back only after every node has been aggregated against the
   // *trained* table (§IV.D's e_x := z_x), so later aggregations do not read
   // already-replaced rows.
@@ -147,16 +132,16 @@ void InferenceEngine::RefreshInto(std::span<const NodeId> nodes, Tensor* out,
   EHNA_CHECK(out != nullptr);
   EHNA_CHECK_GE(out->rows(), static_cast<int64_t>(graph_->num_nodes()));
   EHNA_CHECK_EQ(out->cols(), config_.dim);
-  if (pool == nullptr && num_threads() > 1) pool = EnsurePool();
+  if (pool == nullptr && ResolvedNumThreads(config_) > 1) pool = EnsurePool();
   if (pool == nullptr || pool->num_threads() < 2 || nodes.size() < 2) {
-    AggregateRange(nodes, 0, nodes.size(), nullptr, out);
+    AggregateRange(nodes, 0, nodes.size(), out);
     return;
   }
   // Per-node streams make every row a function of the seed alone, so the
   // shard layout (like the chunking inside each shard) moves no byte.
   pool->ParallelForShards(nodes.size(), pool->num_threads() * 4,
                           [&](size_t, size_t begin, size_t end) {
-                            AggregateRange(nodes, begin, end, nullptr, out);
+                            AggregateRange(nodes, begin, end, out);
                           });
 }
 

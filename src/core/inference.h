@@ -15,7 +15,7 @@ namespace ehna {
 
 /// Seed salt separating the per-node inference streams from the per-edge
 /// training streams (model.cc's kTrainStreamSalt) and from everything the
-/// master Rng draws. Node v's parallel-inference stream is
+/// master Rng draws. Node v's inference stream is
 /// Rng::Stream(config.seed ^ kFinalizeStreamSalt, v).
 inline constexpr uint64_t kFinalizeStreamSalt =
     0x45484E4146494E00ULL;  // "EHNAFIN"
@@ -39,12 +39,6 @@ class InferenceEngine {
   InferenceEngine(const TemporalGraph* graph, Embedding* embedding,
                   EhnaAggregator* aggregator, const EhnaConfig& config);
 
-  /// The resolved worker count: `config.num_threads`, 0 mapping to the
-  /// hardware concurrency (at least 1). Chooses between the serial
-  /// (master-RNG) and parallel (per-node-stream) finalize paths, exactly as
-  /// EhnaModel::num_threads always has.
-  int num_threads() const;
-
   /// Repoints the engine (and its aggregator's walk samplers) at a new
   /// graph — the serving layer calls this after compacting its dynamic
   /// overlay. The embedding table must already cover the new graph's nodes.
@@ -56,29 +50,28 @@ class InferenceEngine {
   /// The §IV.D final pass *without* the write-back: returns the [N, dim]
   /// matrix of per-node aggregated embeddings (isolated nodes contribute
   /// their L2-normalized raw rows), leaving the trained table untouched.
-  /// With num_threads() == 1 every node draws from `serial_rng` in node
-  /// order (the exact legacy sequence); otherwise nodes fan out across
-  /// `pool` (lazily self-built when null) with per-node streams, making the
-  /// result a function of the seed alone. Either way the aggregations run
-  /// forward-only through packed AggregateBatch chunks (DESIGN.md §13).
-  Tensor ComputeFinalEmbeddings(Rng* serial_rng, ThreadPool* pool = nullptr);
+  /// RefreshInto over every node: per-node streams, fanned out across
+  /// `pool` (lazily self-built when null), so the result is a function of
+  /// the seed and trained state alone, whatever the thread count. The
+  /// aggregations run forward-only through packed AggregateBatch chunks
+  /// (DESIGN.md §13).
+  Tensor ComputeFinalEmbeddings(ThreadPool* pool = nullptr);
 
   /// ComputeFinalEmbeddings + §IV.D's e_x := z_x write-back into the table.
   /// The write-back happens only after every node has been aggregated
   /// against the *trained* table, so later aggregations never read
-  /// already-replaced rows. Byte-identical to the pre-split
-  /// EhnaModel::FinalizeEmbeddings (pinned by tests/serve_test.cc).
-  Tensor FinalizeEmbeddings(Rng* serial_rng, ThreadPool* pool = nullptr);
+  /// already-replaced rows. EhnaModel::FinalizeEmbeddings delegates here
+  /// (pinned by tests/serve_test.cc).
+  Tensor FinalizeEmbeddings(ThreadPool* pool = nullptr);
 
   /// Incremental refresh for the serving layer: recomputes the final
   /// embedding of every node in `nodes` against the current graph and the
   /// (trained, untouched) table, writing row v of `out` for each node v.
   /// Every node uses its per-node stream Rng::Stream(seed ^
   /// kFinalizeStreamSalt, v) regardless of thread count, so a refreshed row
-  /// is bitwise-identical to what the parallel finalize path would produce
-  /// for that node on the same graph — and independent of which batch of
-  /// affected nodes it rode in on. `out` must have at least
-  /// graph()->num_nodes() rows.
+  /// is bitwise-identical to what the full finalize produces for that node
+  /// on the same graph — and independent of which batch of affected nodes
+  /// it rode in on. `out` must have at least graph()->num_nodes() rows.
   void RefreshInto(std::span<const NodeId> nodes, Tensor* out,
                    ThreadPool* pool = nullptr);
 
@@ -90,10 +83,9 @@ class InferenceEngine {
   /// The one aggregation path: writes the final embedding of every node v
   /// in nodes[begin, end) into out->Row(v). Plans run through
   /// AggregateBatch under a NoTapeScope, in chunks bounded by packed walk
-  /// rows. Nodes draw from `serial_rng` in order, or from their per-node
-  /// streams when it is null.
+  /// rows. Each node draws from its per-node stream.
   void AggregateRange(std::span<const NodeId> nodes, size_t begin,
-                      size_t end, Rng* serial_rng, Tensor* out);
+                      size_t end, Tensor* out);
 
   ThreadPool* EnsurePool();
 

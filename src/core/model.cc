@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
-#include <thread>
 
 #include "core/checkpoint.h"
 #include "core/inference.h"
+#include "nn/arena.h"
 #include "nn/ops.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -71,22 +71,17 @@ EhnaModel::EhnaModel(const TemporalGraph* graph, const EhnaConfig& config)
 
 EhnaModel::~EhnaModel() = default;
 
-int EhnaModel::num_threads() const {
-  if (config_.num_threads > 0) return config_.num_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 ThreadPool* EhnaModel::EnsurePool() {
   if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(num_threads()));
+    pool_ = std::make_unique<ThreadPool>(
+        static_cast<size_t>(ResolvedNumThreads(config_)));
   }
   return pool_.get();
 }
 
 void EhnaModel::EnsureWorkers() {
   EnsurePool();
-  while (workers_.size() < static_cast<size_t>(num_threads())) {
+  while (workers_.size() < pool_->num_threads()) {
     workers_.push_back(std::make_unique<Worker>(
         graph_, &embedding_, config_,
         Rng::Stream(config_.seed, 0xC0FFEEULL + workers_.size())));
@@ -210,8 +205,7 @@ EhnaModel::EpochStats EhnaModel::TrainEpoch() {
       MetricsRegistry::Global().GetHistogram("train.phase.epoch");
 
   const uint64_t walks_before = walks_counter->Total();
-  EpochStats stats =
-      num_threads() > 1 ? TrainEpochParallel() : TrainEpochSerial();
+  EpochStats stats = RunEpoch();
   ++epoch_index_;
 
   epochs_total->Add(1);
@@ -238,66 +232,7 @@ std::vector<size_t> EhnaModel::ShuffledEpochOrder() {
   return order;
 }
 
-EhnaModel::EpochStats EhnaModel::TrainEpochSerial() {
-  Timer timer;
-  const auto& edges = graph_->edges();
-  const std::vector<size_t> order = ShuffledEpochOrder();
-
-  EpochStats stats;
-  double loss_sum = 0.0;
-  const int batch = std::max(1, config_.batch_edges);
-  size_t i = 0;
-  while (i < order.size()) {
-    bool batch_empty = true;
-    {
-      // The whole batch tape — every forward value, stashed intermediate,
-      // and backward gradient — bump-allocates from arena_. Long-lived
-      // state (parameters, Adam moments, BN running stats, the sparse
-      // embedding accumulator) stays heap-backed; see DESIGN.md §9.
-      EHNA_TRACE_PHASE("train.phase.forward_backward");
-      TensorArena::Scope tape_scope(&arena_);
-      // Plan every aggregation the batch needs up front (consuming the
-      // master RNG in exactly the per-edge order), run them all through one
-      // packed tape, then assemble each edge's hinge terms from its z slice.
-      std::vector<AggregationPlan> plans;
-      std::vector<size_t> edge_base;
-      edge_base.reserve(batch);
-      for (int b = 0; b < batch && i < order.size(); ++i, ++b) {
-        edge_base.push_back(plans.size());
-        PlanEdge(&aggregator_, edges[order[i]], &rng_, &plans);
-      }
-      std::vector<Var> losses;
-      losses.reserve(batch);
-      if (!plans.empty()) {
-        const std::vector<Var> z =
-            aggregator_.AggregateBatch(plans, /*training=*/true);
-        for (size_t base : edge_base) {
-          Var loss = EdgeLossFromZ(z, base);
-          if (loss.defined()) losses.push_back(loss);
-        }
-      }
-      if (!losses.empty()) {
-        batch_empty = false;
-        const auto count = static_cast<float>(losses.size());
-        Var mean_loss = ag::ScalarMul(ag::SumN(losses), 1.0f / count);
-        loss_sum += mean_loss.value()[0] * count;
-        Backward(mean_loss);
-      }
-    }
-    if (batch_empty) break;
-
-    OptimizerStep();
-    // Gradients were consumed by the step above; the tape is dead.
-    arena_.Reset();
-  }
-
-  stats.edges = order.size();
-  stats.avg_loss = order.empty() ? 0.0 : loss_sum / order.size();
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
-}
-
-EhnaModel::EpochStats EhnaModel::TrainEpochParallel() {
+EhnaModel::EpochStats EhnaModel::RunEpoch() {
   Timer timer;
   EnsureWorkers();
   const auto& edges = graph_->edges();
@@ -316,8 +251,7 @@ EhnaModel::EpochStats EhnaModel::TrainEpochParallel() {
     for (size_t w = 0; w < used; ++w) SyncWorkerFromMaster(workers_[w].get());
 
     // Each shard runs its edges sequentially on its own replica tape; the
-    // 1/count scale makes the reduced gradient equal the serial batch-mean
-    // gradient.
+    // 1/count scale makes the reduced gradient the batch-mean gradient.
     const float inv_count = 1.0f / static_cast<float>(count);
     {
       EHNA_TRACE_PHASE("train.phase.forward_backward");
@@ -330,8 +264,8 @@ EhnaModel::EpochStats EhnaModel::TrainEpochParallel() {
             TensorArena::Scope tape_scope(&worker.arena);
             worker.loss_sum = 0.0;
             worker.edges = 0;
-            // Each edge keeps its own RNG stream (planning consumes it in
-            // the legacy per-edge order), but the shard's aggregations run
+            // Each edge plans from its own RNG stream, so a plan does not
+            // depend on the shard it lands in; the shard's aggregations run
             // on one packed tape with a single backward pass.
             std::vector<AggregationPlan> plans;
             std::vector<size_t> edge_base;
@@ -351,10 +285,9 @@ EhnaModel::EpochStats EhnaModel::TrainEpochParallel() {
                   plans, /*training=*/true);
               for (size_t base : edge_base) {
                 Var loss = EdgeLossFromZ(z, base);
-                if (loss.defined()) {
-                  worker.loss_sum += loss.value()[0];
-                  shard_losses.push_back(loss);
-                }
+                if (!loss.defined()) continue;
+                worker.loss_sum += loss.value()[0];
+                shard_losses.push_back(loss);
                 ++worker.edges;
               }
             }
@@ -364,12 +297,14 @@ EhnaModel::EpochStats EhnaModel::TrainEpochParallel() {
           });
     }
 
+    size_t batch_edges = 0;
     {
       // Deterministic reduction: workers merge in shard order, so the result
       // depends only on (seed, num_threads), not on scheduling.
       EHNA_TRACE_PHASE("train.phase.grad_reduce");
       for (size_t w = 0; w < used; ++w) {
         loss_sum += workers_[w]->loss_sum;
+        batch_edges += workers_[w]->edges;
         ReduceWorkerGrads(workers_[w].get());
       }
       MergeWorkerBatchNormStats(used);
@@ -378,11 +313,14 @@ EhnaModel::EpochStats EhnaModel::TrainEpochParallel() {
       for (size_t w = 0; w < used; ++w) workers_[w]->arena.Reset();
     }
 
+    // A batch without a loss term (num_negatives = 0) steps nothing; the
+    // BatchNorm merge above skipped it too.
+    if (batch_edges == 0) continue;
+    stats.edges += batch_edges;
     OptimizerStep();
   }
 
-  stats.edges = order.size();
-  stats.avg_loss = order.empty() ? 0.0 : loss_sum / order.size();
+  stats.avg_loss = stats.edges == 0 ? 0.0 : loss_sum / stats.edges;
   stats.seconds = timer.ElapsedSeconds();
   return stats;
 }
@@ -442,8 +380,7 @@ Tensor EhnaModel::AggregateAt(NodeId node, Timestamp ref_time) {
 
 Tensor EhnaModel::FinalizeEmbeddings() {
   InferenceEngine engine(graph_, &embedding_, &aggregator_, config_);
-  return engine.FinalizeEmbeddings(&rng_,
-                                   num_threads() > 1 ? EnsurePool() : nullptr);
+  return engine.FinalizeEmbeddings(EnsurePool());
 }
 
 }  // namespace ehna

@@ -10,7 +10,6 @@
 #include "core/ehna_config.h"
 #include "graph/noise_distribution.h"
 #include "graph/temporal_graph.h"
-#include "nn/arena.h"
 #include "nn/optim.h"
 #include "util/thread_pool.h"
 
@@ -23,19 +22,18 @@ namespace ehna {
 /// inference pass that replaces each node's embedding with its aggregated
 /// embedding anchored at its most recent interaction.
 ///
-/// With `config.num_threads > 1` (0 = hardware concurrency) the trainer is
-/// data-parallel: each minibatch is sharded across worker replicas that
-/// build independent autograd tapes, and the per-shard gradients are
-/// reduced into the single shared parameter set before one optimizer step,
-/// so a step remains mathematically equivalent to the serial batch (up to
-/// float summation order). Inference (FinalizeEmbeddings) fans out across
-/// nodes with per-node RNG streams, making it reproducible for a fixed
-/// seed regardless of thread count. `num_threads == 1` runs the exact
-/// legacy serial path.
+/// Training is data-parallel at every thread count (`config.num_threads`,
+/// resolved by ResolvedNumThreads): each minibatch is sharded across worker
+/// replicas that build independent autograd tapes, and the per-shard
+/// gradients are reduced into the single shared parameter set before one
+/// optimizer step. One thread is the same loop with one shard. Every edge
+/// plans from its own RNG stream, keyed by (seed, epoch, position), and
+/// inference (FinalizeEmbeddings) uses per-node streams, so finalize is a
+/// function of the trained state alone, whatever the thread count.
 ///
-/// Either way a batch (or a worker's shard of one) first plans every
-/// aggregation it needs — capturing every RNG draw up front — and then runs
-/// them all through one packed AggregateBatch tape (DESIGN.md §10).
+/// A shard first plans every aggregation it needs — capturing every RNG
+/// draw up front — and then runs them all through one packed
+/// AggregateBatch tape (DESIGN.md §10).
 class EhnaModel {
  public:
   /// `graph` must outlive the model.
@@ -76,16 +74,13 @@ class EhnaModel {
   /// back into the table) and are returned as an [N, dim] matrix. Isolated
   /// nodes keep their (L2-normalized) raw embeddings. Delegates to the
   /// trainer-free InferenceEngine (core/inference.h) against this model's
-  /// graph/table/aggregator — byte-identical to the pre-split
-  /// implementation (pinned by tests/serve_test.cc).
+  /// graph/table/aggregator, so the result is bitwise the same at every
+  /// thread count for the same trained state.
   Tensor FinalizeEmbeddings();
 
-  /// Aggregated embedding of one node at a reference time (inference mode).
+  /// Aggregated embedding of one node at a reference time (inference mode),
+  /// drawing its walks from the master RNG.
   Tensor AggregateAt(NodeId node, Timestamp ref_time);
-
-  /// The resolved worker count: `config.num_threads`, with 0 mapped to the
-  /// hardware concurrency (at least 1).
-  int num_threads() const;
 
   /// Serializes the complete training state — aggregator parameters, dense
   /// Adam moments and step counter, BatchNorm running statistics, the
@@ -110,11 +105,11 @@ class EhnaModel {
   Embedding* embedding() { return &embedding_; }
   EhnaAggregator* aggregator() { return &aggregator_; }
   const EhnaConfig& config() const { return config_; }
+  const Adam& optimizer() const { return optimizer_; }
 
-  /// The master RNG stream (serialized into checkpoints). Exposed so a
-  /// standalone InferenceEngine driven over this model's state can consume
-  /// the exact draw sequence the model's own serial finalize would — the
-  /// basis of the inference-core equivalence tests.
+  /// The master RNG stream (serialized into checkpoints). It draws the epoch
+  /// shuffle, initialization, AggregateAt and EdgeLoss; exposed so tests can
+  /// replay AggregateAt's draws.
   Rng* mutable_rng() { return &rng_; }
 
  private:
@@ -135,18 +130,18 @@ class EhnaModel {
   Var EdgeLossFromZ(const std::vector<Var>& z, size_t base);
 
   /// The epoch's shuffled (and possibly capped) edge-index order, drawn
-  /// from the master RNG — the first thing every epoch variant consumes.
+  /// from the master RNG — the only master draw an epoch makes.
   std::vector<size_t> ShuffledEpochOrder();
 
-  EpochStats TrainEpochSerial();
-  EpochStats TrainEpochParallel();
+  /// The epoch loop TrainEpoch wraps in telemetry.
+  EpochStats RunEpoch();
 
   /// Clips the reduced gradients, takes one dense Adam step and one
   /// sparse embedding Adam step, and zeroes the dense gradients.
   void OptimizerStep();
 
   /// Lazily builds the pool (and, for EnsureWorkers, the worker replicas)
-  /// sized to num_threads().
+  /// sized to ResolvedNumThreads(config_).
   ThreadPool* EnsurePool();
   void EnsureWorkers();
 
@@ -170,11 +165,6 @@ class EhnaModel {
   EhnaAggregator aggregator_;
   NoiseDistribution noise_;
   Adam optimizer_;
-
-  /// Bump allocator for the serial trainer's per-batch tapes. Active (via
-  /// TensorArena::Scope) around each batch's forward/backward, and Reset
-  /// once the optimizer step has consumed the gradients (DESIGN.md §9).
-  TensorArena arena_;
 
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -2,17 +2,19 @@
 // (DESIGN.md §13). InferenceEngine plans every node and runs the plans
 // through AggregateBatch in chunks under a NoTapeScope; the reference here is
 // the per-call Aggregate(..., training=false) stack, one tape per node,
-// driven by the same RNG streams (the serial master stream in node order, or
-// Rng::Stream(seed ^ kFinalizeStreamSalt, v) per node). Every output row must
-// be byte-identical for all four variants, for fallback and isolated nodes,
-// at one and four threads, for RefreshInto on a node subset, and across
-// chunk boundaries that split plans of different lengths. Labeled
-// `concurrency` so the TSan job covers the chunked parallel fan-out.
+// driven by the same per-node streams Rng::Stream(seed ^ kFinalizeStreamSalt,
+// v). Every output row must be byte-identical for all four variants, for
+// fallback and isolated nodes, at one and four threads, for RefreshInto on a
+// node subset, and across chunk boundaries that split plans of different
+// lengths; and one trained state must finalize to the same bytes at one, two
+// and four threads. Labeled `concurrency` so the TSan job covers the chunked
+// parallel fan-out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,8 @@
 
 namespace ehna {
 namespace {
+
+namespace fs = std::filesystem;
 
 /// A coauthor graph plus two kinds of awkward nodes:
 ///  - `kZeroWeightNodes` nodes whose only interaction has weight 0, so every
@@ -137,29 +141,21 @@ TEST(PackedInferenceTest, FinalizeMatchesPerCallAggregate) {
       EhnaModel model(&g, cfg);
       model.Train();
 
-      // Engine under test, with its own copy of the master stream.
-      Rng engine_rng = *model.mutable_rng();
       ThreadPool pool(static_cast<size_t>(threads));
       InferenceEngine engine(&g, model.embedding(), model.aggregator(), cfg);
       const uint64_t chunks_before = PhaseCount("infer.phase.packed_forward");
-      const Tensor got = engine.ComputeFinalEmbeddings(&engine_rng, &pool);
+      const Tensor got = engine.ComputeFinalEmbeddings(&pool);
       const uint64_t chunks = PhaseCount("infer.phase.packed_forward") -
                               chunks_before;
 
-      Rng serial_rng = *model.mutable_rng();
       const uint64_t fallbacks_before = CounterTotal("agg.fallbacks");
       Tensor want(n, cfg.dim);
       for (NodeId v = 0; v < n; ++v) {
         Rng stream = NodeStream(cfg, v);
-        ReferenceRow(&model, g, v, threads == 1 ? &serial_rng : &stream,
-                     want.Row(v));
+        ReferenceRow(&model, g, v, &stream, want.Row(v));
       }
       ASSERT_EQ(got.rows(), static_cast<int64_t>(n));
       for (NodeId v = 0; v < n; ++v) ExpectRowsEqual(got, want, v, "finalize");
-      if (threads == 1) {
-        // Same number of draws from the master stream, too.
-        EXPECT_EQ(engine_rng.Next(), serial_rng.Next());
-      }
 
       // The graph really exercised the fallback, and the finalize really
       // ran as several multi-plan chunks.
@@ -190,6 +186,40 @@ TEST(PackedInferenceTest, FinalizeWriteBackMatchesPerCallAggregate) {
     ExpectRowsEqual(got, want, v, "finalize");
     ExpectRowsEqual(model.embedding_table(), want, v, "table");
   }
+}
+
+TEST(PackedInferenceTest, FinalizeIsIdenticalAtEveryThreadCount) {
+  // One trained state, restored from one checkpoint into a model per thread
+  // count, finalizes to the same table bytes at 1, 2 and 4 threads.
+  MixedGraph mg = MakeMixedGraph();
+  const TemporalGraph& g = mg.graph;
+  const fs::path dir = fs::temp_directory_path() / "ehna_finalize_threads";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string trained = (dir / "trained.ehnc").string();
+  for (const EhnaVariant variant : kVariants) {
+    SCOPED_TRACE(EhnaVariantName(variant));
+    EhnaModel source(&g, TestConfig(variant, 4));
+    source.Train();
+    ASSERT_TRUE(source.SaveCheckpoint(trained).ok());
+
+    Tensor want;
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + "T");
+      EhnaModel model(&g, TestConfig(variant, threads));
+      ASSERT_TRUE(model.RestoreCheckpoint(trained).ok());
+      const Tensor got = model.FinalizeEmbeddings();
+      if (threads == 1) {
+        want = got;
+        continue;
+      }
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        ExpectRowsEqual(got, want, v, "finalize");
+        ExpectRowsEqual(model.embedding_table(), want, v, "table");
+      }
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(PackedInferenceTest, RefreshIntoSubsetMatchesPerCallAggregate) {

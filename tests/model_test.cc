@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/model.h"
 #include "graph/generators/generators.h"
@@ -132,6 +135,57 @@ TEST(EhnaModelTest, AllVariantsTrainOneEpoch) {
     EhnaModel model(&g, cfg);
     auto stats = model.TrainEpoch();
     EXPECT_TRUE(std::isfinite(stats.avg_loss)) << EhnaVariantName(variant);
+  }
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// With no negatives no edge yields a hinge term, so no batch has a loss:
+// the epoch counts no edges, takes no optimizer step and merges no
+// BatchNorm statistics, at one thread and at four.
+TEST(EhnaModelTest, EpochWithoutLossTermsChangesNothing) {
+  TemporalGraph g = TinyGraph();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + "T");
+    EhnaConfig cfg = TinyConfig();
+    cfg.num_negatives = 0;
+    cfg.max_edges_per_epoch = 64;
+    cfg.batch_edges = 8;
+    cfg.num_threads = threads;
+    EhnaModel model(&g, cfg);
+    std::vector<Tensor> params;
+    for (const Var& p : model.optimizer().params()) {
+      params.push_back(p.value());
+    }
+    std::vector<Tensor> bn_stats;
+    std::vector<bool> bn_initialized;
+    for (const BatchNorm1d* bn : model.aggregator()->MutableBatchNorms()) {
+      bn_stats.push_back(bn->running_mean());
+      bn_stats.push_back(bn->running_var());
+      bn_initialized.push_back(bn->stats_initialized());
+    }
+    const Tensor table = model.embedding_table();
+
+    const EhnaModel::EpochStats stats = model.TrainEpoch();
+    EXPECT_EQ(stats.edges, 0u);
+    EXPECT_EQ(stats.avg_loss, 0.0);
+    EXPECT_EQ(model.optimizer().step_count(), 0);
+    const std::vector<Var>& after = model.optimizer().params();
+    ASSERT_EQ(after.size(), params.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(SameBytes(after[i].value(), params[i])) << "param " << i;
+    }
+    const auto bns = model.aggregator()->MutableBatchNorms();
+    for (size_t b = 0; b < bns.size(); ++b) {
+      EXPECT_EQ(bns[b]->stats_initialized(), bn_initialized[b]) << "bn " << b;
+      EXPECT_TRUE(SameBytes(bns[b]->running_mean(), bn_stats[2 * b]));
+      EXPECT_TRUE(SameBytes(bns[b]->running_var(), bn_stats[2 * b + 1]));
+    }
+    EXPECT_TRUE(SameBytes(model.embedding_table(), table));
   }
 }
 

@@ -102,7 +102,7 @@ void CheckEngineMatchesModel(int num_threads, const std::string& tag) {
 
   const Tensor via_model = a.FinalizeEmbeddings();
   InferenceEngine engine(&g, b.embedding(), b.aggregator(), cfg);
-  const Tensor via_engine = engine.FinalizeEmbeddings(b.mutable_rng());
+  const Tensor via_engine = engine.FinalizeEmbeddings();
 
   EXPECT_TRUE(SameBytes(via_model, via_engine));
   EXPECT_TRUE(SameBytes(a.embedding_table(), b.embedding_table()));
@@ -136,7 +136,7 @@ TEST(InferenceEngineTest, RefreshIntoMatchesParallelFinalizeRows) {
   EhnaModel model(&g, cfg);
   model.Train();
   InferenceEngine engine(&g, model.embedding(), model.aggregator(), cfg);
-  const Tensor full = engine.ComputeFinalEmbeddings(model.mutable_rng());
+  const Tensor full = engine.ComputeFinalEmbeddings();
 
   std::vector<NodeId> subset;
   for (NodeId v = 0; v < g.num_nodes(); v += 3) subset.push_back(v);
