@@ -69,7 +69,7 @@ void InferenceEngine::FinalizeIsolated(NodeId v, float* dst) const {
 }
 
 void InferenceEngine::AggregateRange(std::span<const NodeId> nodes,
-                                     size_t begin, size_t end,
+                                     size_t begin, size_t end, bool compact,
                                      Tensor* out) {
   // The aggregations are a pure forward read: no tape, so intermediates die
   // with each chunk and nothing accumulates into the table's gradients.
@@ -85,7 +85,7 @@ void InferenceEngine::AggregateRange(std::span<const NodeId> nodes,
       EHNA_TRACE_PHASE("infer.phase.plan");
       for (; i < end && rows < kMaxPackedWalkRows; ++i) {
         const NodeId v = nodes[i];
-        float* dst = out->Row(v);
+        float* dst = out->Row(compact ? static_cast<int64_t>(i) : v);
         auto recent = graph_->MostRecentInteraction(v);
         if (!recent.ok()) {
           FinalizeIsolated(v, dst);
@@ -131,17 +131,29 @@ void InferenceEngine::RefreshInto(std::span<const NodeId> nodes, Tensor* out,
                                   ThreadPool* pool) {
   EHNA_CHECK(out != nullptr);
   EHNA_CHECK_GE(out->rows(), static_cast<int64_t>(graph_->num_nodes()));
+  Refresh(nodes, /*compact=*/false, out, pool);
+}
+
+void InferenceEngine::RefreshRows(std::span<const NodeId> nodes, Tensor* rows,
+                                  ThreadPool* pool) {
+  EHNA_CHECK(rows != nullptr);
+  EHNA_CHECK_GE(rows->rows(), static_cast<int64_t>(nodes.size()));
+  Refresh(nodes, /*compact=*/true, rows, pool);
+}
+
+void InferenceEngine::Refresh(std::span<const NodeId> nodes, bool compact,
+                              Tensor* out, ThreadPool* pool) {
   EHNA_CHECK_EQ(out->cols(), config_.dim);
   if (pool == nullptr && ResolvedNumThreads(config_) > 1) pool = EnsurePool();
   if (pool == nullptr || pool->num_threads() < 2 || nodes.size() < 2) {
-    AggregateRange(nodes, 0, nodes.size(), out);
+    AggregateRange(nodes, 0, nodes.size(), compact, out);
     return;
   }
   // Per-node streams make every row a function of the seed alone, so the
   // shard layout (like the chunking inside each shard) moves no byte.
   pool->ParallelForShards(nodes.size(), pool->num_threads() * 4,
                           [&](size_t, size_t begin, size_t end) {
-                            AggregateRange(nodes, begin, end, out);
+                            AggregateRange(nodes, begin, end, compact, out);
                           });
 }
 

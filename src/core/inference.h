@@ -75,17 +75,29 @@ class InferenceEngine {
   void RefreshInto(std::span<const NodeId> nodes, Tensor* out,
                    ThreadPool* pool = nullptr);
 
+  /// RefreshInto with compact output: row i of `rows` receives the final
+  /// embedding of nodes[i], byte-equal to RefreshInto's row nodes[i]. The
+  /// serving layer stages a refresh's rows here before publishing them.
+  /// `rows` must have at least nodes.size() rows.
+  void RefreshRows(std::span<const NodeId> nodes, Tensor* rows,
+                   ThreadPool* pool = nullptr);
+
  private:
   /// Isolated node: L2-normalized raw embedding row (zero row if the norm
   /// underflows), so its scale matches the normalized aggregated ones.
   void FinalizeIsolated(NodeId v, float* dst) const;
 
-  /// The one aggregation path: writes the final embedding of every node v
-  /// in nodes[begin, end) into out->Row(v). Plans run through
-  /// AggregateBatch under a NoTapeScope, in chunks bounded by packed walk
-  /// rows. Each node draws from its per-node stream.
+  /// The one aggregation path: writes the final embedding of every node
+  /// nodes[i], i in [begin, end), into out->Row(compact ? i : nodes[i]).
+  /// Plans run through AggregateBatch under a NoTapeScope, in chunks
+  /// bounded by packed walk rows. Each node draws from its per-node stream.
   void AggregateRange(std::span<const NodeId> nodes, size_t begin,
-                      size_t end, Tensor* out);
+                      size_t end, bool compact, Tensor* out);
+
+  /// Shards `nodes` across `pool` (self-built when null and the config asks
+  /// for threads) and runs AggregateRange on each shard.
+  void Refresh(std::span<const NodeId> nodes, bool compact, Tensor* out,
+               ThreadPool* pool);
 
   ThreadPool* EnsurePool();
 

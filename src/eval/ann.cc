@@ -187,7 +187,7 @@ Result<IvfFlatIndex> IvfFlatIndex::Build(const Tensor& embeddings,
   return index;
 }
 
-size_t IvfFlatIndex::NearestCentroid(const float* v) const {
+size_t IvfFlatIndex::AssignCell(const float* v) const {
   size_t best = 0;
   double best_score = SimilarityScore(v, centroids_.Row(0), dim_,
                                       options_.similarity);
@@ -350,9 +350,9 @@ const float* IvfFlatIndex::VectorOf(NodeId id) const {
   return list_data_[list].data() + static_cast<size_t>(pos) * dim_;
 }
 
-void IvfFlatIndex::Update(NodeId id, const float* vec) {
+void IvfFlatIndex::Update(NodeId id, const float* vec, size_t target) {
+  EHNA_CHECK_LT(target, num_lists());
   if (id >= loc_.size()) loc_.resize(id + 1, {kInvalidList, 0});
-  const size_t target = NearestCentroid(vec);
   const auto [old_list, old_pos] = loc_[id];
 
   if (old_list != kInvalidList) {

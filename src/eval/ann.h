@@ -50,9 +50,10 @@ struct IvfFlatOptions {
 /// quality degrades only as far as the embedding distribution drifts, at
 /// which point the server rebuilds the index).
 ///
-/// Not internally synchronized: concurrent const queries are safe against
-/// each other but not against Update — the serving layer wraps the index in
-/// its reader/writer lock.
+/// Not internally synchronized: concurrent const calls (queries,
+/// AssignCell) are safe against each other but not against Update. The
+/// serving layer computes cells under its writer mutex alone and takes its
+/// reader/writer lock exclusively only for the Update calls (DESIGN.md §13).
 class IvfFlatIndex {
  public:
   /// Builds an index over the rows of `embeddings` ([N, dim], N >= 1).
@@ -96,10 +97,17 @@ class IvfFlatIndex {
       const QuantizedMatrix& quant, NodeId node, size_t k, size_t nprobe = 0,
       size_t rerank_factor = 4) const;
 
-  /// Upserts `vec` (length dim) as id `id`: re-assigns it to the nearest
-  /// cell, moving it between lists if needed. New ids append (the id space
-  /// may be sparse; absent ids cost one slot in the id->location table).
-  void Update(NodeId id, const float* vec);
+  /// The cell `vec` (length dim) belongs to: the nearest centroid under the
+  /// configured similarity. Pure and const (centroids never change after
+  /// Build), so it may run beside queries and outside any lock an Update
+  /// needs.
+  size_t AssignCell(const float* vec) const;
+
+  /// Upserts `vec` (length dim) as id `id` into `cell`, which must be
+  /// AssignCell(vec), moving it between lists if needed. New ids append
+  /// (the id space may be sparse; absent ids cost one slot in the
+  /// id->location table).
+  void Update(NodeId id, const float* vec, size_t cell);
 
   /// The indexed vector for `id` (nullptr when absent). Valid until the
   /// next Update touching its cell.
@@ -107,9 +115,6 @@ class IvfFlatIndex {
 
  private:
   IvfFlatIndex() = default;
-
-  /// Index of the centroid nearest to `v` under the configured similarity.
-  size_t NearestCentroid(const float* v) const;
 
   IvfFlatOptions options_;
   int64_t dim_ = 0;

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "nn/kernels.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 
@@ -16,6 +17,15 @@ namespace {
 // Seed salt for the stream that initializes embedding rows of nodes first
 // seen in the ingest stream (disjoint from the train/finalize salts).
 constexpr uint64_t kServeGrowSalt = 0x45484E4153525647ULL;  // "EHNASRVG"
+
+void RecordQuantGauges(const QuantizedMatrix& quant,
+                       const QuantErrorStats& err) {
+  auto& metrics = MetricsRegistry::Global();
+  metrics.GetGauge("serve.quant.bytes")
+      ->Set(static_cast<double>(quant.bytes()));
+  metrics.GetGauge("serve.quant.max_abs_error")->Set(err.max_abs);
+  metrics.GetGauge("serve.quant.mean_abs_error")->Set(err.mean_abs);
+}
 
 }  // namespace
 
@@ -70,31 +80,10 @@ Result<std::unique_ptr<EmbeddingServer>> EmbeddingServer::Load(
   if (server->options_.precision != ServePrecision::kFp32) {
     server->quant_ = QuantizedMatrix::FromTensor(server->serving_,
                                                  server->options_.precision);
-    const QuantErrorStats err = server->quant_.ErrorStats(server->serving_);
-    auto& metrics = MetricsRegistry::Global();
-    metrics.GetGauge("serve.quant.bytes")
-        ->Set(static_cast<double>(server->quant_.bytes()));
-    metrics.GetGauge("serve.quant.max_abs_error")->Set(err.max_abs);
-    metrics.GetGauge("serve.quant.mean_abs_error")->Set(err.mean_abs);
+    RecordQuantGauges(server->quant_,
+                      server->quant_.ErrorStats(server->serving_));
   }
   return server;
-}
-
-void EmbeddingServer::RequantizeRows(const std::vector<NodeId>& rows) {
-  if (options_.precision == ServePrecision::kFp32) return;
-  quant_.EnsureRows(serving_.rows());
-  for (const NodeId v : rows) {
-    quant_.RequantizeRow(static_cast<int64_t>(v), serving_.Row(v));
-  }
-  // Gauges: exact resident bytes, plus the quantization error of the rows
-  // this pass just rewrote (Load sets the whole-matrix figures).
-  const QuantErrorStats err =
-      quant_.ErrorStatsForRows(serving_, rows.data(), rows.size());
-  auto& metrics = MetricsRegistry::Global();
-  metrics.GetGauge("serve.quant.bytes")
-      ->Set(static_cast<double>(quant_.bytes()));
-  metrics.GetGauge("serve.quant.max_abs_error")->Set(err.max_abs);
-  metrics.GetGauge("serve.quant.mean_abs_error")->Set(err.mean_abs);
 }
 
 void EmbeddingServer::MarkAffected(NodeId node) {
@@ -104,17 +93,45 @@ void EmbeddingServer::MarkAffected(NodeId node) {
   affected_.push_back(node);
 }
 
+void EmbeddingServer::RecordStaleness(
+    std::chrono::steady_clock::time_point now) {
+  const size_t pending = overlay_->pending_edges();
+  auto& metrics = MetricsRegistry::Global();
+  metrics.GetGauge("serve.pending_edges")->Set(static_cast<double>(pending));
+  metrics.GetGauge("serve.pending_age_ms")
+      ->Set(pending == 0 ? 0.0
+                         : std::chrono::duration<double, std::milli>(
+                               now - oldest_pending_)
+                               .count());
+}
+
 Status EmbeddingServer::Ingest(const TemporalEdge& edge) {
   EHNA_RETURN_NOT_OK(TemporalGraph::ValidateEdge(edge));
-  if (std::max(edge.src, edge.dst) >= options_.max_nodes) {
+  const NodeId top = std::max(edge.src, edge.dst);
+  if (top >= options_.max_nodes) {
     return Status::ResourceExhausted(
         "edge (" + std::to_string(edge.src) + ", " + std::to_string(edge.dst) +
         ") exceeds ServeOptions::max_nodes = " +
         std::to_string(options_.max_nodes));
   }
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(write_mu_);
+  // serving_ only changes under both locks, so write_mu_ suffices to read
+  // its row count. The overlay's node count includes the pending growth.
+  const uint64_t servable = static_cast<uint64_t>(serving_.rows());
+  const uint64_t after =
+      std::max<uint64_t>(overlay_->num_nodes(), uint64_t{top} + 1);
+  if (after - servable > kMaxNewNodesPerRefresh) {
+    return Status::ResourceExhausted(
+        "edge (" + std::to_string(edge.src) + ", " + std::to_string(edge.dst) +
+        ") would grow the node space from " + std::to_string(servable) +
+        " servable rows to " + std::to_string(after) +
+        ", more than EmbeddingServer::kMaxNewNodesPerRefresh = " +
+        std::to_string(kMaxNewNodesPerRefresh));
+  }
   Status st = overlay_->Ingest(edge);
   if (!st.ok()) return st;
+  const auto now = std::chrono::steady_clock::now();
+  if (overlay_->pending_edges() == 1) oldest_pending_ = now;
   ++ingested_edges_;
   MetricsRegistry::Global().GetCounter("serve.ingested_edges")->Add(1);
   overlay_->AffectedCandidates(edge, &candidate_scratch_);
@@ -123,11 +140,12 @@ Status EmbeddingServer::Ingest(const TemporalEdge& edge) {
       overlay_->pending_edges() >= options_.refresh_batch) {
     return RefreshLocked();
   }
+  RecordStaleness(now);
   return Status::OK();
 }
 
 Status EmbeddingServer::Refresh() {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(write_mu_);
   return RefreshLocked();
 }
 
@@ -137,7 +155,10 @@ Status EmbeddingServer::RefreshLocked() {
   }
   // The sub-phases below nest inside serve.phase.refresh and split it
   // (DESIGN.md §8); the engine adds infer.phase.* inside refresh_aggregate.
+  // Everything before refresh_publish holds write_mu_ alone: queries keep
+  // reading the previous serving state meanwhile.
   EHNA_TRACE_PHASE("serve.phase.refresh");
+  const bool quantized = options_.precision != ServePrecision::kFp32;
 
   {
     EHNA_TRACE_PHASE("serve.phase.refresh_compact");
@@ -147,33 +168,78 @@ Status EmbeddingServer::RefreshLocked() {
   }
 
   // Nodes first seen in the stream: extend the trained table (fresh
-  // word2vec-style rows from the dedicated grow stream) and the serving
-  // matrix. Existing rows keep their bytes.
+  // word2vec-style rows from the dedicated grow stream) and stage grown
+  // copies of the serving matrix and its mirror for the publish to swap in.
+  // Existing rows keep their bytes.
   const NodeId n = overlay_->current().num_nodes();
+  Tensor grown;
+  QuantizedMatrix grown_quant;
   if (static_cast<int64_t>(n) > serving_.rows()) {
     EHNA_TRACE_PHASE("serve.phase.refresh_grow");
     model_->embedding()->EnsureRows(n, &grow_rng_);
-    Tensor grown(n, serving_.cols());
+    grown = Tensor(n, serving_.cols());
     std::copy(serving_.data(), serving_.data() + serving_.numel(),
               grown.data());
-    serving_ = std::move(grown);
+    if (quantized) {
+      grown_quant = quant_;
+      grown_quant.EnsureRows(n);
+    }
+  }
+
+  // Row i of `staged` is affected_[i]'s new embedding; cells[i] its IVF cell.
+  const int64_t dim = serving_.cols();
+  Tensor staged(static_cast<int64_t>(affected_.size()), dim);
+  {
+    EHNA_TRACE_PHASE("serve.phase.refresh_aggregate");
+    engine_->RefreshRows(affected_, &staged);
+  }
+  std::vector<size_t> cells(affected_.size());
+  {
+    EHNA_TRACE_PHASE("serve.phase.refresh_assign");
+    for (size_t i = 0; i < affected_.size(); ++i) {
+      cells[i] = index_->AssignCell(staged.Row(static_cast<int64_t>(i)));
+    }
   }
 
   {
-    EHNA_TRACE_PHASE("serve.phase.refresh_aggregate");
-    engine_->RefreshInto(affected_, &serving_);
-  }
-  {
-    // Re-quantize exactly the refreshed rows: RequantizeRow is a pure
-    // function of the fp32 row, so untouched mirror rows keep their bytes.
-    EHNA_TRACE_PHASE("serve.phase.refresh_requantize");
-    RequantizeRows(affected_);
-  }
-  {
-    EHNA_TRACE_PHASE("serve.phase.refresh_index_upsert");
-    for (const NodeId v : affected_) {
-      index_->Update(v, serving_.Row(v));
+    // The one exclusive hold, timed from before the lock so the histogram
+    // includes the wait for in-flight readers.
+    EHNA_TRACE_PHASE("serve.phase.refresh_publish");
+    std::unique_lock lock(mu_);
+    if (grown.numel() > 0) {
+      std::swap(serving_, grown);
+      if (quantized) std::swap(quant_, grown_quant);
     }
+    for (size_t i = 0; i < affected_.size(); ++i) {
+      kernels::Copy(staged.Row(static_cast<int64_t>(i)),
+                    serving_.Row(affected_[i]), dim);
+    }
+    {
+      // Re-quantize exactly the refreshed rows: RequantizeRow is a pure
+      // function of the fp32 row, so untouched mirror rows keep their bytes.
+      EHNA_TRACE_PHASE("serve.phase.refresh_requantize");
+      if (quantized) {
+        for (const NodeId v : affected_) {
+          quant_.RequantizeRow(static_cast<int64_t>(v), serving_.Row(v));
+        }
+      }
+    }
+    {
+      EHNA_TRACE_PHASE("serve.phase.refresh_index_upsert");
+      for (size_t i = 0; i < affected_.size(); ++i) {
+        index_->Update(affected_[i], serving_.Row(affected_[i]), cells[i]);
+      }
+    }
+  }
+  // The pre-growth matrices in `grown`/`grown_quant` are freed on return,
+  // after the lock is released.
+
+  if (quantized) {
+    // Gauges: exact resident bytes, plus the quantization error of the rows
+    // this pass just rewrote (Load sets the whole-matrix figures).
+    RecordQuantGauges(quant_, quant_.ErrorStatsForRows(serving_,
+                                                       affected_.data(),
+                                                       affected_.size()));
   }
   ++refreshes_;
   refreshed_nodes_ += affected_.size();
@@ -181,6 +247,7 @@ Status EmbeddingServer::RefreshLocked() {
       ->Add(affected_.size());
   for (const NodeId v : affected_) affected_mark_[v] = 0;
   affected_.clear();
+  RecordStaleness(std::chrono::steady_clock::now());
   return Status::OK();
 }
 
@@ -236,7 +303,8 @@ size_t EmbeddingServer::num_nodes() const {
 }
 
 EmbeddingServer::Stats EmbeddingServer::stats() const {
-  std::shared_lock lock(mu_);
+  // write_mu_ alone: serving_ only changes under both locks.
+  std::lock_guard lock(write_mu_);
   Stats s;
   s.ingested_edges = ingested_edges_;
   s.pending_edges = overlay_->pending_edges();

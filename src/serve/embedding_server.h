@@ -2,8 +2,10 @@
 #define EHNA_SERVE_EMBEDDING_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -58,9 +60,15 @@ struct ServeOptions {
 /// embeddings — with the exact O(N) scan kept alongside as the recall
 /// oracle.
 ///
-/// Concurrency: queries take a shared lock; Ingest/Refresh take the
-/// exclusive lock. Any number of query threads run concurrently against an
-/// immutable snapshot of (serving matrix, ANN index); writers serialize.
+/// Concurrency (DESIGN.md §13): two locks, taken in this order. A writer
+/// mutex serializes Ingest/Refresh/stats() and guards the overlay, engine,
+/// model, pending set and counters. A reader/writer lock guards only what
+/// queries read: the serving matrix, its quantized mirror and the ANN
+/// index. Queries share it; a refresh takes it exclusively only to publish
+/// rows it has already computed. Compaction, growth, re-aggregation and
+/// cell assignment run under the writer mutex alone, so queries keep
+/// reading the previous refresh's state meanwhile and never see a refresh
+/// half-published.
 ///
 /// Consistency contract (DESIGN.md §13): queries between refreshes see the
 /// pre-refresh embeddings ("read-your-refreshes", not read-your-writes); a
@@ -81,6 +89,13 @@ class EmbeddingServer {
     uint64_t num_edges = 0;  // compacted snapshot edges.
   };
 
+  /// Most node ids one refresh may add: Ingest refuses with
+  /// ResourceExhausted an edge that would grow the node space more than
+  /// this past the servable rows, counting the growth already pending.
+  /// Without it one edge naming an id far below max_nodes makes the next
+  /// refresh allocate that many table and serving rows at once.
+  static constexpr NodeId kMaxNewNodesPerRefresh = NodeId{1} << 16;
+
   /// Builds a server over `base` (the graph the checkpoint was trained on,
   /// moved in and owned), restores the snapshot at `checkpoint_path`,
   /// computes the initial serving matrix with the §IV.D final pass
@@ -92,8 +107,9 @@ class EmbeddingServer {
 
   /// Appends one timestamped edge to the overlay: O(1) plus bounded cache
   /// maintenance. New node ids are accepted (they become servable after the
-  /// next refresh). Triggers an automatic Refresh once `refresh_batch`
-  /// edges are pending.
+  /// next refresh) up to kMaxNewNodesPerRefresh past the servable rows;
+  /// a refused edge changes nothing. Triggers an automatic Refresh once
+  /// `refresh_batch` edges are pending, and returns after it has published.
   Status Ingest(const TemporalEdge& edge);
 
   /// Compacts the overlay into a fresh snapshot and re-finalizes every
@@ -130,6 +146,7 @@ class EmbeddingServer {
   /// Nodes currently servable (rows of the serving matrix).
   size_t num_nodes() const;
 
+  /// Takes the writer mutex, so it waits for an in-flight Ingest/Refresh.
   Stats stats() const;
 
   const EhnaConfig& config() const { return options_.config; }
@@ -138,31 +155,38 @@ class EmbeddingServer {
  private:
   EmbeddingServer(TemporalGraph base, ServeOptions options);
 
-  /// Dedup-appends `node` to the pending refresh set. Caller holds mu_.
+  /// Dedup-appends `node` to the pending refresh set. Caller holds
+  /// write_mu_.
   void MarkAffected(NodeId node);
-  /// Compact + re-finalize + index update. Caller holds mu_.
+  /// Compact + re-finalize + cell assignment under write_mu_ (which the
+  /// caller holds), then the publish under mu_ held exclusively.
   Status RefreshLocked();
-  /// Re-quantizes `rows` of the mirror from serving_ and refreshes the
-  /// serve.quant.* gauges. Caller holds mu_; no-op under kFp32.
-  void RequantizeRows(const std::vector<NodeId>& rows);
+  /// Sets the serve.pending_* staleness gauges. Caller holds write_mu_.
+  void RecordStaleness(std::chrono::steady_clock::time_point now);
 
   ServeOptions options_;
   TemporalGraph base_;  // keeps the model's construction graph alive.
+
+  // Writer side, guarded by write_mu_ (set up by Load before sharing).
+  mutable std::mutex write_mu_;
   std::unique_ptr<EhnaModel> model_;
   std::unique_ptr<DynamicTemporalGraph> overlay_;
   std::unique_ptr<InferenceEngine> engine_;
   Rng grow_rng_;  // init stream for table rows past the trained range.
-
-  mutable std::shared_mutex mu_;
-  Tensor serving_;  // [servable nodes, dim]; reads under shared lock.
-  QuantizedMatrix quant_;  // read-path mirror of serving_ (empty on kFp32).
-  std::unique_ptr<IvfFlatIndex> index_;
   std::vector<NodeId> affected_;       // pending refresh set, deduped...
   std::vector<uint8_t> affected_mark_; // ...via this bitmap.
   std::vector<NodeId> candidate_scratch_;
+  std::chrono::steady_clock::time_point oldest_pending_;  // first unpublished.
   uint64_t ingested_edges_ = 0;
   uint64_t refreshes_ = 0;
   uint64_t refreshed_nodes_ = 0;
+
+  // Reader side, guarded by mu_. Mutated only with write_mu_ held too, so a
+  // writer holding write_mu_ alone may read it.
+  mutable std::shared_mutex mu_;
+  Tensor serving_;  // [servable nodes, dim].
+  QuantizedMatrix quant_;  // read-path mirror of serving_ (empty on kFp32).
+  std::unique_ptr<IvfFlatIndex> index_;
   mutable std::atomic<uint64_t> queries_{0};
 };
 

@@ -6,8 +6,9 @@
 // v). Every output row must be byte-identical for all four variants, for
 // fallback and isolated nodes, at one and four threads, for RefreshInto on a
 // node subset, and across chunk boundaries that split plans of different
-// lengths; and one trained state must finalize to the same bytes at one, two
-// and four threads. Labeled `concurrency` so the TSan job covers the chunked
+// lengths; RefreshRows' compact rows must equal RefreshInto's; and one
+// trained state must finalize to the same bytes at one, two and four
+// threads. Labeled `concurrency` so the TSan job covers the chunked
 // parallel fan-out.
 #include <gtest/gtest.h>
 
@@ -255,6 +256,43 @@ TEST(PackedInferenceTest, RefreshIntoSubsetMatchesPerCallAggregate) {
       }
       for (NodeId v = 0; v < n; ++v) {
         ExpectRowsEqual(got, want, v, in_subset[v] ? "refreshed" : "untouched");
+      }
+    }
+  }
+}
+
+TEST(PackedInferenceTest, RefreshRowsMatchesRefreshInto) {
+  // The compact-output entry point the serving layer stages refreshes with:
+  // row i must byte-equal RefreshInto's row nodes[i], for an unordered node
+  // list that mixes regular, fallback and isolated nodes.
+  MixedGraph mg = MakeMixedGraph();
+  const TemporalGraph& g = mg.graph;
+  const NodeId n = g.num_nodes();
+  std::vector<NodeId> nodes;
+  for (NodeId v = n; v-- > 0;) {
+    if (v % 5 == 1 || v >= mg.first_zero_weight) nodes.push_back(v);
+  }
+  ASSERT_GT(nodes.size(), 2u);
+
+  for (const EhnaVariant variant : kVariants) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(EhnaVariantName(variant)) + " " +
+                   std::to_string(threads) + "T");
+      const EhnaConfig cfg = TestConfig(variant, threads);
+      EhnaModel model(&g, cfg);
+      model.Train();
+      InferenceEngine engine(&g, model.embedding(), model.aggregator(), cfg);
+
+      Tensor full(n, cfg.dim);
+      engine.RefreshInto(nodes, &full);
+      Tensor rows(static_cast<int64_t>(nodes.size()), cfg.dim);
+      engine.RefreshRows(nodes, &rows);
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        ASSERT_EQ(std::memcmp(rows.Row(static_cast<int64_t>(i)),
+                              full.Row(nodes[i]),
+                              static_cast<size_t>(cfg.dim) * sizeof(float)),
+                  0)
+            << "row " << i << " (node " << nodes[i] << ")";
       }
     }
   }

@@ -5,16 +5,20 @@
 // must walk bitwise-identically to a TemporalGraph rebuilt from scratch
 // over the same edges; (c) the IVF-flat ANN index must reach recall@10 >=
 // 0.95 against the exact scan; (d) concurrent ingest + query must be
-// data-race-free (run under TSan via the `concurrency` ctest label).
+// data-race-free (run under TSan via the `concurrency` ctest label), and
+// readers must only ever see whole refreshes.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -430,7 +434,7 @@ TEST(AnnTest, UpdateMovesVectorsBetweenCells) {
 
   // Teleport node 3 onto node 400's exact vector: it must become (one of)
   // node 400's nearest neighbors under the same metric.
-  index.Update(3, emb.Row(400));
+  index.Update(3, emb.Row(400), index.AssignCell(emb.Row(400)));
   ASSERT_NE(index.VectorOf(3), nullptr);
   EXPECT_EQ(0, std::memcmp(index.VectorOf(3), emb.Row(400),
                            16 * sizeof(float)));
@@ -442,11 +446,47 @@ TEST(AnnTest, UpdateMovesVectorsBetweenCells) {
   EXPECT_EQ(index.size(), 512u);
 
   // Upsert of a brand-new id grows the index.
-  index.Update(600, emb.Row(0));
+  index.Update(600, emb.Row(0), index.AssignCell(emb.Row(0)));
   EXPECT_EQ(index.size(), 513u);
   auto nn0 = index.QueryNode(600, 1);
   ASSERT_TRUE(nn0.ok());
   EXPECT_EQ(nn0.value()[0].node, 0u);
+
+  // A random upsert sequence that moves rows between cells, rewrites rows
+  // in place and adds sparse new ids: afterwards every id holds the vector
+  // it was last given, and a one-cell probe of that vector finds the id at
+  // score 0, so each row sits in its assigned cell.
+  std::map<NodeId, std::vector<float>> last;
+  Rng rng(77);
+  for (int step = 0; step < 400; ++step) {
+    // Mostly existing ids; every tenth upsert names a new id past the end.
+    const NodeId id =
+        step % 10 == 9 ? static_cast<NodeId>(700 + rng.UniformInt(uint64_t{64}))
+                       : static_cast<NodeId>(rng.UniformInt(uint64_t{512}));
+    // Half the time another row's vector (usually another cell), otherwise
+    // a slight perturbation of the id's own row (usually the same cell).
+    const NodeId src = static_cast<NodeId>(rng.UniformInt(uint64_t{512}));
+    const float* row = emb.Row(step % 2 == 0 ? src : id % 512);
+    std::vector<float> vec(row, row + 16);
+    if (step % 2 == 1) {
+      for (float& x : vec) x += 1e-3f * static_cast<float>(rng.Uniform());
+    }
+    index.Update(id, vec.data(), index.AssignCell(vec.data()));
+    last[id] = std::move(vec);
+  }
+  size_t fresh = 0;
+  for (const auto& [id, vec] : last) fresh += id >= 700;
+  EXPECT_EQ(index.size(), 513u + fresh);
+  for (const auto& [id, vec] : last) {
+    ASSERT_NE(index.VectorOf(id), nullptr) << id;
+    EXPECT_EQ(0, std::memcmp(index.VectorOf(id), vec.data(),
+                             16 * sizeof(float)))
+        << id;
+    const auto hits = index.Query(vec.data(), 16, -1, /*nprobe=*/1);
+    EXPECT_TRUE(std::any_of(hits.begin(), hits.end(), [&](const Neighbor& h) {
+      return h.node == id && h.score == 0.0;
+    })) << id;
+  }
 }
 
 // ------------------------------------------------------- serving end-to-end
@@ -759,6 +799,90 @@ TEST(EmbeddingServerTest, IngestRefusesNodeIdsBeyondMaxNodes) {
   EXPECT_TRUE(server.Query(n + 1, 3).ok());
 }
 
+void ExpectSameStats(const EmbeddingServer::Stats& a,
+                     const EmbeddingServer::Stats& b) {
+  EXPECT_EQ(a.ingested_edges, b.ingested_edges);
+  EXPECT_EQ(a.pending_edges, b.pending_edges);
+  EXPECT_EQ(a.refreshes, b.refreshes);
+  EXPECT_EQ(a.refreshed_nodes, b.refreshed_nodes);
+  EXPECT_EQ(a.queries, b.queries);
+  EXPECT_EQ(a.num_nodes, b.num_nodes);
+  EXPECT_EQ(a.num_edges, b.num_edges);
+}
+
+// One edge naming node 6·10^7 (below the default max_nodes = 2^26) used to
+// make the next refresh allocate a table and serving matrix of 6·10^7 rows.
+// Ingest refuses an edge that would grow the node space more than
+// kMaxNewNodesPerRefresh past the servable rows, counting growth already
+// pending; a refused edge changes nothing, and the boundary itself is
+// accepted.
+TEST(EmbeddingServerTest, IngestRefusesGrowthBeyondPerRefreshLimit) {
+  ServerFixture fx("growth_limit");
+  const NodeId n = fx.graph.num_nodes();
+  const Timestamp t0 = fx.graph.max_time();
+  {
+    auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, fx.Options());
+    ASSERT_TRUE(loaded.ok());
+    EmbeddingServer& server = *loaded.value();
+    const Tensor before = server.ServingEmbeddings();
+    const auto stats = server.stats();
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const long peak_kib = ru.ru_maxrss;
+    // ASSERT: were the edge accepted, the Refresh below would allocate
+    // 6·10^7 rows (and the overlay 6·10^7 caches on the spot).
+    const Status st = server.Ingest({1, 60'000'000, t0 + 1.0});
+    ASSERT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+    ExpectSameStats(stats, server.stats());
+    ASSERT_TRUE(server.Refresh().ok());
+    EXPECT_EQ(server.num_nodes(), static_cast<size_t>(n));
+    EXPECT_TRUE(SameBytes(before, server.ServingEmbeddings()));
+    getrusage(RUSAGE_SELF, &ru);
+    EXPECT_LT(ru.ru_maxrss - peak_kib, 64L * 1024) << "KiB of new peak RSS";
+  }
+
+  const NodeId limit = EmbeddingServer::kMaxNewNodesPerRefresh;
+  auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, fx.Options());
+  auto twin_loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, fx.Options());
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(twin_loaded.ok());
+  EmbeddingServer& server = *loaded.value();
+  EmbeddingServer& twin = *twin_loaded.value();  // sees accepted edges only.
+  auto accept = [&](const TemporalEdge& e) {
+    ASSERT_TRUE(server.Ingest(e).ok());
+    ASSERT_TRUE(twin.Ingest(e).ok());
+  };
+  auto refuse = [&](const TemporalEdge& e) {
+    const auto stats = server.stats();
+    const Status st = server.Ingest(e);
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+    ExpectSameStats(stats, server.stats());
+  };
+
+  // Past the n servable rows, ids up to n + limit - 1 (growth = limit) are
+  // accepted and n + limit is refused; ids inside the pending growth still
+  // are accepted.
+  accept({0, n + limit - 1, t0 + 1.0});
+  refuse({1, n + limit, t0 + 2.0});
+  accept({2, n + 1, t0 + 3.0});
+  refuse({n + limit, n + 2, t0 + 4.0});
+  ASSERT_TRUE(server.Refresh().ok());
+  ASSERT_TRUE(twin.Refresh().ok());
+  EXPECT_EQ(server.num_nodes(), static_cast<size_t>(n + limit));
+  EXPECT_TRUE(SameBytes(server.ServingEmbeddings(), twin.ServingEmbeddings()));
+  ExpectSameStats(server.stats(), twin.stats());
+
+  // The limit counts from the new servable rows.
+  refuse({3, n + 2 * limit, t0 + 5.0});
+  accept({3, n + 2 * limit - 1, t0 + 6.0});
+  ASSERT_TRUE(server.Refresh().ok());
+  ASSERT_TRUE(twin.Refresh().ok());
+  EXPECT_EQ(server.num_nodes(), static_cast<size_t>(n + 2 * limit));
+  EXPECT_TRUE(SameBytes(server.ServingEmbeddings(), twin.ServingEmbeddings()));
+  ExpectSameStats(server.stats(), twin.stats());
+  EXPECT_TRUE(server.Query(n + 2 * limit - 1, 3).ok());
+}
+
 // Metrics never change bytes (DESIGN.md §8): with the registry on or off,
 // the finalize matrix, the post-finalize checkpoint, and the rows a server
 // serves after Load + ingest + Refresh are byte-identical. With metrics on,
@@ -781,7 +905,13 @@ TEST(EmbeddingServerTest, MetricsOnOffServeIdenticalBytes) {
     Tensor finalized;
     std::string checkpoint;
     Tensor served;
+    double pending_edges = 0.0;  // staleness gauges just before Refresh...
+    double pending_age_ms = 0.0;
+    double pending_after = -1.0;  // ...and serve.pending_edges after it.
   };
+  auto& metrics = MetricsRegistry::Global();
+  Gauge* pending_edges = metrics.GetGauge("serve.pending_edges");
+  Gauge* pending_age = metrics.GetGauge("serve.pending_age_ms");
   auto run = [&](bool metrics_enabled) {
     MetricsRegistry::SetEnabled(metrics_enabled);
     Run r;
@@ -793,10 +923,18 @@ TEST(EmbeddingServerTest, MetricsOnOffServeIdenticalBytes) {
     r.checkpoint = ReadBytes(path);
     auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, fx.Options());
     EHNA_CHECK(loaded.ok());
-    for (const TemporalEdge& e : stream) {
-      EHNA_CHECK(loaded.value()->Ingest(e).ok());
+    for (size_t i = 0; i < stream.size(); ++i) {
+      // Let the oldest pending edge age before the last Ingest sets the
+      // gauges.
+      if (i + 1 == stream.size()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      EHNA_CHECK(loaded.value()->Ingest(stream[i]).ok());
     }
+    r.pending_edges = pending_edges->Value();
+    r.pending_age_ms = pending_age->Value();
     EHNA_CHECK(loaded.value()->Refresh().ok());
+    r.pending_after = pending_edges->Value();
     r.served = loaded.value()->ServingEmbeddings();
     MetricsRegistry::SetEnabled(true);
     return r;
@@ -812,14 +950,153 @@ TEST(EmbeddingServerTest, MetricsOnOffServeIdenticalBytes) {
   EXPECT_EQ(on.checkpoint, off.checkpoint);
   EXPECT_TRUE(SameBytes(on.served, off.served));
 
+  // Staleness: the whole stream was pending (the oldest edge at least 2 ms
+  // old) before the Refresh published it, and nothing after.
+  EXPECT_EQ(on.pending_edges, static_cast<double>(stream.size()));
+  EXPECT_GE(on.pending_age_ms, 2.0);
+  EXPECT_EQ(on.pending_after, 0.0);
+
   for (const char* phase :
        {"serve.phase.refresh", "serve.phase.refresh_compact",
         "serve.phase.refresh_grow", "serve.phase.refresh_aggregate",
+        "serve.phase.refresh_assign", "serve.phase.refresh_publish",
         "serve.phase.refresh_requantize", "serve.phase.refresh_index_upsert",
         "infer.phase.plan", "infer.phase.packed_forward"}) {
     const HistogramData* h = snap.Histogram(phase);
     ASSERT_NE(h, nullptr) << phase;
     EXPECT_GT(h->count(), 0u) << phase;
+  }
+}
+
+// Readers never see a refresh half-published (DESIGN.md §13). A serial run
+// records the served bytes after Load and after every refresh; readers
+// beside an identical ingesting server must only ever see one of those
+// states, in non-decreasing order. Under int8 each reader alternates the
+// fp32 matrix and the quantized mirror on one sequence, so publishing the
+// two in separate exclusive sections would show up as a step back.
+std::string Fp32Bytes(const Tensor& t) {
+  return std::string(reinterpret_cast<const char*>(t.data()),
+                     static_cast<size_t>(t.numel()) * sizeof(float));
+}
+
+std::string Int8Bytes(const QuantizedMatrix& q) {
+  std::string out(reinterpret_cast<const char*>(q.DataI8()),
+                  static_cast<size_t>(q.rows() * q.dim()));
+  for (int64_t r = 0; r < q.rows(); ++r) {
+    const float scale = q.scale(r);
+    const int32_t sqnorm = q.sqnorm_i32(r);
+    out.append(reinterpret_cast<const char*>(&scale), sizeof(scale));
+    out.append(reinterpret_cast<const char*>(&sqnorm), sizeof(sqnorm));
+  }
+  return out;
+}
+
+void CheckReadersSeeWholeRefreshes(ServePrecision precision) {
+  const bool quantized = precision != ServePrecision::kFp32;
+  ServerFixture fx(std::string("whole_refresh_") +
+                   ServePrecisionName(precision));
+  ServeOptions opt = fx.Options();
+  opt.precision = precision;
+  opt.refresh_batch = 4;
+  const NodeId n = fx.graph.num_nodes();
+  const Timestamp t0 = fx.graph.max_time();
+  std::vector<TemporalEdge> stream;
+  Rng rng(83);
+  while (stream.size() < 128) {
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(uint64_t{n}));
+    // Every 16th edge brings a new node, so some publishes also swap in a
+    // grown matrix.
+    const NodeId v = stream.size() % 16 == 15
+                         ? n + static_cast<NodeId>(stream.size() / 16)
+                         : static_cast<NodeId>(rng.UniformInt(uint64_t{n}));
+    if (u == v) continue;
+    stream.push_back({u, v, t0 + 1.0 + static_cast<double>(stream.size())});
+  }
+
+  // Serial run: state k is what the server serves after its k-th refresh.
+  // A byte string maps to the range of states that serve it.
+  std::map<std::string, std::pair<size_t, size_t>> fp32_states, quant_states;
+  {
+    auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, opt);
+    ASSERT_TRUE(loaded.ok());
+    EmbeddingServer& serial = *loaded.value();
+    size_t state = 0;
+    auto record = [&] {
+      const auto add = [&](auto* states, std::string bytes) {
+        auto [it, fresh] = states->try_emplace(std::move(bytes), state, state);
+        if (!fresh) it->second.second = state;
+      };
+      add(&fp32_states, Fp32Bytes(serial.ServingEmbeddings()));
+      if (quantized) {
+        add(&quant_states, Int8Bytes(serial.QuantizedServingSnapshot()));
+      }
+    };
+    record();
+    for (const TemporalEdge& e : stream) {
+      const uint64_t before = serial.stats().refreshes;
+      ASSERT_TRUE(serial.Ingest(e).ok());
+      if (serial.stats().refreshes > before) {
+        ++state;
+        record();
+      }
+    }
+    ASSERT_EQ(state, stream.size() / opt.refresh_batch);
+    ASSERT_GT(fp32_states.size(), state / 2);
+  }
+
+  auto loaded = EmbeddingServer::Load(fx.ckpt, fx.graph, opt);
+  ASSERT_TRUE(loaded.ok());
+  EmbeddingServer& server = *loaded.value();
+  constexpr int kReaders = 3;
+  std::atomic<int> ready{0};
+  std::atomic<bool> done{false};
+  std::atomic<bool> unknown{false};
+  std::atomic<bool> stepped_back{false};
+  std::atomic<uint64_t> snapshots{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      size_t floor = 0;  // lowest state the next snapshot may show.
+      auto observe = [&](const auto& states, const std::string& bytes) {
+        const auto it = states.find(bytes);
+        if (it == states.end()) {
+          unknown = true;
+          return;
+        }
+        if (it->second.second < floor) stepped_back = true;
+        floor = std::max(floor, it->second.first);
+        snapshots.fetch_add(1, std::memory_order_relaxed);
+      };
+      bool last = false;
+      for (uint64_t i = r;; ++i) {
+        last = done.load();
+        if (quantized && i % 2 == 1) {
+          observe(quant_states, Int8Bytes(server.QuantizedServingSnapshot()));
+        } else {
+          observe(fp32_states, Fp32Bytes(server.ServingEmbeddings()));
+        }
+        if (i == static_cast<uint64_t>(r)) ready.fetch_add(1);
+        if (last) break;
+      }
+    });
+  }
+  while (ready.load() < kReaders) std::this_thread::yield();
+  for (const TemporalEdge& e : stream) ASSERT_TRUE(server.Ingest(e).ok());
+  done = true;
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_FALSE(unknown.load()) << "a reader saw bytes no refresh published";
+  EXPECT_FALSE(stepped_back.load()) << "a reader saw an older state again";
+  EXPECT_GE(snapshots.load(), static_cast<uint64_t>(2 * kReaders));
+  EXPECT_EQ(fp32_states.at(Fp32Bytes(server.ServingEmbeddings())).second,
+            stream.size() / opt.refresh_batch);
+}
+
+TEST(EmbeddingServerTest, ReadersSeeWholeRefreshes) {
+  for (const ServePrecision precision :
+       {ServePrecision::kFp32, ServePrecision::kInt8}) {
+    SCOPED_TRACE(ServePrecisionName(precision));
+    CheckReadersSeeWholeRefreshes(precision);
   }
 }
 
